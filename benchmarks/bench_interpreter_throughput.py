@@ -59,7 +59,7 @@ WARM_INSTRUCTIONS = 2_000_000
 MEASURE_INSTRUCTIONS = 2_000_000
 MEASURE_WINDOWS = 3
 
-LEGACY = MachineConfig(legacy_interpreter=True)
+LEGACY = MachineConfig(interpreter="legacy")
 TABLE = MachineConfig()
 COMPILED = MachineConfig(interpreter="compiled")
 

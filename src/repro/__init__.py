@@ -33,7 +33,7 @@ from repro.config import MachineConfig, DEFAULT_CONFIG
 from repro.cpu.machine import Machine, MachineRun, TrapEvent, TrapKind
 from repro.cpu.stats import SimStats, TransitionKind
 from repro.results import RunResult
-from repro.debugger.session import DebugSession, Session
+from repro.debugger.session import Session
 from repro.debugger.watchpoint import Watchpoint, Breakpoint
 from repro.dise import (DiseController, DiseEngine, Pattern, Production, T,
                         template)
@@ -61,7 +61,6 @@ __all__ = [
     "SimStats",
     "TransitionKind",
     "Session",
-    "DebugSession",
     "Watchpoint",
     "Breakpoint",
     "DiseController",
@@ -79,11 +78,3 @@ __all__ = [
     "build_benchmark",
     "__version__",
 ]
-
-
-def __getattr__(name: str):
-    if name == "SessionResult":  # unified into repro.results.RunResult
-        from repro.debugger import session
-
-        return session.SessionResult  # emits the DeprecationWarning
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

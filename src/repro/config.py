@@ -23,6 +23,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 
+#: The interpreter tiers ``MachineConfig.interpreter`` may name.  The
+#: first is the reference: the others must be observationally identical
+#: to it.
+INTERPRETERS = ("table", "legacy", "compiled")
+
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -135,14 +140,12 @@ class MachineConfig:
     # Multithreaded execution of DISE-called functions (paper Section 4,
     # "Multithreading DISE function calls"; evaluated in Figure 8).
     multithreaded_dise_calls: bool = False
-    # Run the pre-dispatch-table interpreter (kept for differential
-    # validation of the table-driven rewrite; scheduled for removal).
-    legacy_interpreter: bool = False
-    # Interpreter tier: "table" (dispatch-table, the default), "legacy"
-    # (equivalent to legacy_interpreter=True), or "compiled" (basic
-    # blocks fused into generated Python closures; see
-    # repro.cpu.compiled).  legacy_interpreter=True wins over this
-    # field so existing call sites keep their meaning.
+    # Interpreter tier, the only tier selector: "table" (the dispatch
+    # table, the default), "compiled" (basic blocks fused into generated
+    # Python closures; see repro.cpu.compiled), or "legacy" (the
+    # pre-dispatch-table interpreter, kept as a differential reference;
+    # scheduled for removal).  Each tier serves timed and functional
+    # (detailed_timing=False) runs through one code path.
     interpreter: str = "table"
     # Chain-loop visits before the compiled tier compiles a block at an
     # entry pc (see repro.cpu.compiled).  The default keeps large
@@ -158,11 +161,6 @@ class MachineConfig:
     def with_(self, **kwargs) -> "MachineConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)
-
-    @property
-    def effective_interpreter(self) -> str:
-        """The interpreter tier that will actually run."""
-        return "legacy" if self.legacy_interpreter else self.interpreter
 
 
 def default_workers() -> int:

@@ -30,11 +30,3 @@ __all__ = [
     "TimingModel",
     "BranchPredictor",
 ]
-
-
-def __getattr__(name: str):
-    if name == "RunResult":  # deprecated pre-unification name
-        from repro.cpu import machine
-
-        return machine.RunResult  # emits the DeprecationWarning
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

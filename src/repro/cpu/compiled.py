@@ -195,6 +195,83 @@ def _branch_cond_neg(op: Opcode, v: str) -> str | None:
     return None
 
 
+def _alu_line(inst, d, ns: dict) -> str:
+    """The assignment a fast-register ALU instruction compiles to.
+
+    An opcode :func:`_alu_expr` cannot inline calls its semantic
+    function, bound into the block namespace ``ns``.
+    """
+    a = f"regs[{inst.rs1}]"
+    h = d.handler_index
+    if h == H_ALU_LDA:
+        expr = f"({a} + {inst.imm}) & M"
+    elif h == H_ALU_MOV:
+        expr = a
+    else:
+        if h == H_ALU_IMM:
+            bval = inst.imm & MASK64
+            b = str(bval)
+        else:
+            bval = None
+            b = f"regs[{inst.rs2}]"
+        expr = _alu_expr(inst.opcode, a, b, bval)
+        if expr is None:
+            fn = f"_f{len(ns)}"
+            ns[fn] = d.alu_func
+            expr = f"{fn}({a}, {b})"
+    return f"regs[{inst.rd}] = {expr}"
+
+
+def _load_lines(inst, d, timed: bool) -> list[str]:
+    """A fast-register load with ``MainMemory.read_int`` inlined.
+
+    The fast path reads a resident page directly; missing pages and
+    page-crossing accesses call ``read_int``.
+    """
+    size = d.mem_size
+    lines = [f"_a = (regs[{inst.rs1}] + {inst.imm}) & M",
+             f"_p = pg(_a >> {_PAGE_SHIFT})",
+             f"_o = _a & {_PAGE_MASK}",
+             f"regs[{inst.rd}] = (fb(_p[_o:_o + {size}], 'little') "
+             f"if _p is not None and _o <= {PAGE_BYTES - size} "
+             f"else read_int(_a, {size}))"]
+    if timed:
+        lines.append("t.load(_a)")
+    return lines
+
+
+def _store_lines(inst, d, timed: bool, text_base: int,
+                 text_end: int) -> list[str]:
+    """A fast-register store with ``MainMemory.write_int`` inlined.
+
+    The fast path writes a resident, unfrozen page directly; frozen
+    pages (live snapshots) take the copy-on-write slow path.  The
+    caller records the last-store context (:func:`_last_store_lines`).
+    """
+    size = d.mem_size
+    masked = "_sv" if size == 8 else f"(_sv & {(1 << (8 * size)) - 1})"
+    lines = [f"_sa = (regs[{inst.rs1}] + {inst.imm}) & M",
+             f"_sv = regs[{inst.rd}]"]
+    if timed:
+        lines.append("t.store(_sa)")
+    lines += [f"_pn = _sa >> {_PAGE_SHIFT}",
+              f"_o = _sa & {_PAGE_MASK}",
+              "_p = pg(_pn)",
+              f"if _p is None or _o > {PAGE_BYTES - size} or _pn in frozen:",
+              f"    write_int(_sa, {size}, _sv)",
+              "else:",
+              f"    _p[_o:_o + {size}] = {masked}.to_bytes({size}, 'little')",
+              f"if _sa < {text_end} and _sa + {size} > {text_base}:",
+              f"    m._note_text_store(_sa, {size})"]
+    return lines
+
+
+def _last_store_lines(size: int) -> list[str]:
+    """Record the store context trap delivery attaches (see Machine)."""
+    return ["m.last_store_addr = _sa", f"m.last_store_size = {size}",
+            "m.last_store_value = _sv"]
+
+
 class CompiledTier:
     """Block compiler + chain-dispatch loop for one machine."""
 
@@ -261,14 +338,10 @@ class CompiledTier:
         — including a stop or halt before the commit.
         """
         m = self.m
-        target = m.stats.app_instructions + 1
-        if self._timed:
-            m._run_table_timed(target)
-        else:
-            m._run_table_functional(target)
+        m._run_table(m.stats.app_instructions + 1)
 
     def run(self, limit: int) -> None:
-        """The compiled tier's top-level loop (mirrors _run_table_*)."""
+        """The compiled tier's top-level loop (mirrors _run_table)."""
         m = self.m
         step = self._step
         while not m.halted:
@@ -311,10 +384,7 @@ class CompiledTier:
                         target = stats.app_instructions + COLD_CHUNK
                         if 0 <= limit < target:
                             target = limit
-                        if self._timed:
-                            m._run_table_timed(target)
-                        else:
-                            m._run_table_functional(target)
+                        m._run_table(target)
                         break  # outer loop revalidates stop/halt/stale
                     entry = self._compile(pc)
                     blocks[pc] = entry
@@ -330,10 +400,7 @@ class CompiledTier:
                     # entries — for every chunk boundary of a tail that
                     # executes only once per run() call.)
                     m.pc = pc
-                    if self._timed:
-                        m._run_table_timed(limit)
-                    else:
-                        m._run_table_functional(limit)
+                    m._run_table(limit)
                     break
                 pc = entry[0](m, regs, memory, stats, t, lim)
                 if m.text_version != tv:
@@ -406,6 +473,10 @@ class CompiledTier:
         tile_cut = None  # straight mode: state at the first tiling point
         ret_stack: list[int] = []  # return addresses of spliced calls
 
+        def emit_lines(block, pad="    "):
+            for line in block:
+                emit(pad + line)
+
         def flush_exit():
             """Straight mode: flush compile-time deltas, then reset."""
             nonlocal app, loads, stores, nops, brs, tks, pending_store
@@ -422,9 +493,7 @@ class CompiledTier:
             if tks:
                 emit(f"    stats.taken_branches += {tks}")
             if pending_store is not None:
-                emit("    m.last_store_addr = _sa")
-                emit(f"    m.last_store_size = {pending_store}")
-                emit("    m.last_store_value = _sv")
+                emit_lines(_last_store_lines(pending_store))
             app = loads = stores = nops = brs = tks = 0
             pending_store = None
 
@@ -518,66 +587,19 @@ class CompiledTier:
                     else:
                         r_app += 1
                         n_app += 1
-                elif rh in (H_ALU_LDA, H_ALU_MOV, H_ALU_IMM, H_ALU_REG):
-                    a = f"regs[{rinst.rs1}]"
-                    if rh == H_ALU_LDA:
-                        expr = f"({a} + {rinst.imm}) & M"
-                    elif rh == H_ALU_MOV:
-                        expr = a
+                else:
+                    if rh == H_LOAD:
+                        body += _load_lines(rinst, rdec, False)
+                        has_load = True
+                        r_loads += 1
+                    elif rh == H_STORE:  # always eager under a guard
+                        body += _store_lines(rinst, rdec, False, text_base,
+                                             text_end)
+                        body += _last_store_lines(rdec.mem_size)
+                        has_store = True
+                        r_stores += 1
                     else:
-                        if rh == H_ALU_IMM:
-                            bval = rinst.imm & MASK64
-                            b = str(bval)
-                        else:
-                            bval = None
-                            b = f"regs[{rinst.rs2}]"
-                        expr = _alu_expr(rinst.opcode, a, b, bval)
-                        if expr is None:
-                            fn = f"_f{len(ns)}"
-                            ns[fn] = rdec.alu_func
-                            expr = f"{fn}({a}, {b})"
-                    body.append(f"regs[{rinst.rd}] = {expr}")
-                    r_app += 1
-                    n_app += 1
-                elif rh == H_LOAD:
-                    size = rdec.mem_size
-                    body.append(f"_a = (regs[{rinst.rs1}] + {rinst.imm})"
-                                " & M")
-                    body.append(f"_p = pg(_a >> {_PAGE_SHIFT})")
-                    body.append(f"_o = _a & {_PAGE_MASK}")
-                    body.append(f"regs[{rinst.rd}] = ("
-                                f"fb(_p[_o:_o + {size}], 'little') "
-                                f"if _p is not None "
-                                f"and _o <= {PAGE_BYTES - size} "
-                                f"else read_int(_a, {size}))")
-                    has_load = True
-                    r_loads += 1
-                    r_app += 1
-                    n_app += 1
-                else:  # H_STORE — always eager under a guard
-                    size = rdec.mem_size
-                    body.append(f"_sa = (regs[{rinst.rs1}] + {rinst.imm})"
-                                " & M")
-                    body.append(f"_sv = regs[{rinst.rd}]")
-                    body.append(f"_pn = _sa >> {_PAGE_SHIFT}")
-                    body.append(f"_o = _sa & {_PAGE_MASK}")
-                    body.append("_p = pg(_pn)")
-                    body.append(f"if _p is None or _o > {PAGE_BYTES - size} "
-                                "or _pn in frozen:")
-                    body.append(f"    write_int(_sa, {size}, _sv)")
-                    body.append("else:")
-                    masked = "_sv" if size == 8 \
-                        else f"(_sv & {(1 << (8 * size)) - 1})"
-                    body.append(f"    _p[_o:_o + {size}] = "
-                                f"{masked}.to_bytes({size}, 'little')")
-                    body.append(f"if _sa < {text_end} "
-                                f"and _sa + {size} > {text_base}:")
-                    body.append(f"    m._note_text_store(_sa, {size})")
-                    body.append("m.last_store_addr = _sa")
-                    body.append(f"m.last_store_size = {size}")
-                    body.append("m.last_store_value = _sv")
-                    has_store = True
-                    r_stores += 1
+                        body.append(_alu_line(rinst, rdec, ns))
                     r_app += 1
                     n_app += 1
                 pcs.append(rpc)
@@ -619,13 +641,10 @@ class CompiledTier:
                 # The region stores eagerly; materialize the older
                 # batched store now so the exit flush cannot clobber
                 # the region's (dynamically later) last-store context.
-                emit("    m.last_store_addr = _sa")
-                emit(f"    m.last_store_size = {pending_store}")
-                emit("    m.last_store_value = _sv")
+                emit_lines(_last_store_lines(pending_store))
                 pending_store = None
             emit(f"    if {ncond}:")
-            for line in body:
-                emit("        " + line)
+            emit_lines(body, "        ")
             emit("        stats.taken_branches -= 1")
             visited.update(pcs)
             needs_read |= has_load
@@ -860,98 +879,30 @@ class CompiledTier:
                 terminated = True
                 break
 
-            if h in (H_ALU_LDA, H_ALU_MOV, H_ALU_IMM, H_ALU_REG):
+            if h in (H_ALU_LDA, H_ALU_MOV, H_ALU_IMM, H_ALU_REG, H_LOAD,
+                     H_STORE):
                 if timed:
                     emit(f"    t.fetch({pc})")
                     emit("    t.commit()")
-                a = f"regs[{inst.rs1}]"
-                if h == H_ALU_LDA:
-                    expr = f"({a} + {inst.imm}) & M"
-                elif h == H_ALU_MOV:
-                    expr = a
-                else:
-                    if h == H_ALU_IMM:
-                        bval = inst.imm & MASK64
-                        b = str(bval)
+                if h == H_LOAD:
+                    emit_lines(_load_lines(inst, d, timed))
+                    needs_read = True
+                    loads += 1
+                elif h == H_STORE:
+                    emit_lines(_store_lines(inst, d, timed, text_base,
+                                            text_end))
+                    if loop_mode:
+                        # Paths through the wrapped loop are not all
+                        # store-dominated, so the last-store context
+                        # cannot be batched per exit: record it at the
+                        # store, as the table interpreter does.
+                        emit_lines(_last_store_lines(d.mem_size))
                     else:
-                        bval = None
-                        b = f"regs[{inst.rs2}]"
-                    expr = _alu_expr(inst.opcode, a, b, bval)
-                    if expr is None:
-                        fn = f"_f{len(ns)}"
-                        ns[fn] = d.alu_func
-                        expr = f"{fn}({a}, {b})"
-                emit(f"    regs[{inst.rd}] = {expr}")
-                app += 1
-                app_total += 1
-                visited.add(pc)
-                count += 1
-                index += 1
-                continue
-
-            if h == H_LOAD:
-                size = d.mem_size
-                if timed:
-                    emit(f"    t.fetch({pc})")
-                    emit("    t.commit()")
-                emit(f"    _a = (regs[{inst.rs1}] + {inst.imm}) & M")
-                # Inlined MainMemory.read_int fast path: resident page,
-                # access within it.  Falls back for missing pages and
-                # page-crossing accesses.
-                emit(f"    _p = pg(_a >> {_PAGE_SHIFT})")
-                emit(f"    _o = _a & {_PAGE_MASK}")
-                emit(f"    regs[{inst.rd}] = ("
-                     f"fb(_p[_o:_o + {size}], 'little') "
-                     f"if _p is not None and _o <= {PAGE_BYTES - size} "
-                     f"else read_int(_a, {size}))")
-                if timed:
-                    emit("    t.load(_a)")
-                needs_read = True
-                loads += 1
-                app += 1
-                app_total += 1
-                visited.add(pc)
-                count += 1
-                index += 1
-                continue
-
-            if h == H_STORE:
-                size = d.mem_size
-                if timed:
-                    emit(f"    t.fetch({pc})")
-                    emit("    t.commit()")
-                emit(f"    _sa = (regs[{inst.rs1}] + {inst.imm}) & M")
-                emit(f"    _sv = regs[{inst.rd}]")
-                if timed:
-                    emit("    t.store(_sa)")
-                # Inlined MainMemory.write_int fast path: resident,
-                # unfrozen page, access within it.  Frozen pages (live
-                # snapshots) take the copy-on-write slow path.
-                emit(f"    _pn = _sa >> {_PAGE_SHIFT}")
-                emit(f"    _o = _sa & {_PAGE_MASK}")
-                emit("    _p = pg(_pn)")
-                emit(f"    if _p is None or _o > {PAGE_BYTES - size} "
-                     "or _pn in frozen:")
-                emit(f"        write_int(_sa, {size}, _sv)")
-                emit("    else:")
-                masked = "_sv" if size == 8 \
-                    else f"(_sv & {(1 << (8 * size)) - 1})"
-                emit(f"        _p[_o:_o + {size}] = "
-                     f"{masked}.to_bytes({size}, 'little')")
-                emit(f"    if _sa < {text_end} and _sa + {size} > {text_base}:")
-                emit(f"        m._note_text_store(_sa, {size})")
-                if loop_mode:
-                    # Paths through the wrapped loop are not all
-                    # store-dominated, so the last-store context cannot
-                    # be batched per exit: record it at the store, as
-                    # the table interpreter does.
-                    emit("    m.last_store_addr = _sa")
-                    emit(f"    m.last_store_size = {size}")
-                    emit("    m.last_store_value = _sv")
+                        pending_store = d.mem_size
+                    needs_write = True
+                    stores += 1
                 else:
-                    pending_store = size
-                needs_write = True
-                stores += 1
+                    emit("    " + _alu_line(inst, d, ns))
                 app += 1
                 app_total += 1
                 visited.add(pc)

@@ -28,13 +28,13 @@ Interpreter organization (see DESIGN.md "Interpreter architecture"):
 execution dispatches through a table of per-opclass handler methods
 indexed by each instruction's cached decode record
 (:class:`~repro.isa.instruction.Decoded`), with ALU and JUMP split into
-opcode-level subcases.  Runs without a timing model take a separate
-loop body bound to timing-free handlers, so the functional fast path
-performs no ``timing is not None`` checks at all.  The previous
-monolithic if/elif interpreter is retained behind
-``MachineConfig.legacy_interpreter`` so the differential test suite can
-assert bit-identical semantics; it will be removed once the dispatch
-table has baked.
+opcode-level subcases.  One loop and one handler per index serve timed
+and functional runs alike: each timing-model event is guarded by a
+``timing is not None`` test, so runs without a timing model
+(``detailed_timing=False``) skip the events and nothing else.  The
+previous monolithic if/elif interpreter is retained as the ``"legacy"``
+tier (``MachineConfig.interpreter``) so the differential test suite can
+assert bit-identical semantics.
 
 Fetch-stage traps (breakpoint registers, single-stepping) stop an
 interactive run *before* the trapped instruction executes, like a real
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Callable, Optional
 
-from repro.config import MachineConfig, DEFAULT_CONFIG
+from repro.config import DEFAULT_CONFIG, INTERPRETERS, MachineConfig
 from repro.errors import SimulationError
 from repro.cpu.functional import MASK64, alu_result, branch_taken
 from repro.cpu.stats import SimStats, TransitionKind
@@ -126,9 +126,8 @@ _SPURIOUS = frozenset({
 class MachineRun:
     """Outcome of a :meth:`Machine.run` call (the low-level record).
 
-    Renamed from ``RunResult`` when that name moved to the unified
-    result type in :mod:`repro.results`; the old name is kept as a
-    deprecated module attribute.
+    The user-facing, serializable result is
+    :class:`repro.results.RunResult`.
     """
 
     stats: SimStats
@@ -243,11 +242,10 @@ class Machine:
         # tier keys its block cache on it (plus the DISE engine's own
         # version counter), so any code mutation drops compiled blocks.
         self.text_version = 0
-        interp = ("legacy" if self.config.legacy_interpreter
-                  else self.config.interpreter)
-        if interp not in ("table", "legacy", "compiled"):
+        interp = self.config.interpreter
+        if interp not in INTERPRETERS:
             raise ValueError(f"unknown interpreter {interp!r}; expected "
-                             "'table', 'legacy', or 'compiled'")
+                             f"one of {', '.join(INTERPRETERS)}")
         self._interp = interp
         self._compiled = None  # lazily created CompiledTier
 
@@ -503,39 +501,30 @@ class Machine:
         return digest.hexdigest()
 
     def _build_handler_table(self) -> tuple:
-        """Bind the dispatch table, pre-selected for the timing mode.
-
-        ``detailed_timing=False`` machines get timing-free handler
-        variants so the functional fast path never tests
-        ``timing is not None``.
-        """
-        timed = self.timing is not None
+        """Bind the dispatch table: one handler per handler index."""
         table: list = [None] * NUM_HANDLERS
         table[H_ALU_LDA] = self._h_alu_lda
         table[H_ALU_MOV] = self._h_alu_mov
         table[H_ALU_IMM] = self._h_alu_imm
         table[H_ALU_REG] = self._h_alu_reg
-        table[H_LOAD] = self._h_load_t if timed else self._h_load_f
-        table[H_STORE] = self._h_store_t if timed else self._h_store_f
-        table[H_BRANCH] = self._h_branch_t if timed else self._h_branch_f
-        table[H_JUMP_BR] = self._h_jump_br_t if timed else self._h_jump_br_f
-        table[H_JUMP_JSR] = self._h_jump_jsr_t if timed else self._h_jump_jsr_f
-        table[H_JUMP_RET] = self._h_jump_ret_t if timed else self._h_jump_ret_f
-        table[H_JUMP_JMP] = self._h_jump_jmp_t if timed else self._h_jump_jmp_f
+        table[H_LOAD] = self._h_load
+        table[H_STORE] = self._h_store
+        table[H_BRANCH] = self._h_branch
+        table[H_JUMP_BR] = self._h_jump_br
+        table[H_JUMP_JSR] = self._h_jump_jsr
+        table[H_JUMP_RET] = self._h_jump_ret
+        table[H_JUMP_JMP] = self._h_jump_jmp
         table[H_TRAP] = self._h_trap
         table[H_CTRAP] = self._h_ctrap
-        table[H_DISE_BRANCH] = (self._h_dise_branch_t if timed
-                                else self._h_dise_branch_f)
-        table[H_DISE_CALL] = (self._h_dise_call_t if timed
-                              else self._h_dise_call_f)
-        table[H_DISE_RET] = (self._h_dise_ret_t if timed
-                             else self._h_dise_ret_f)
+        table[H_DISE_BRANCH] = self._h_dise_branch
+        table[H_DISE_CALL] = self._h_dise_call
+        table[H_DISE_RET] = self._h_dise_ret
         table[H_DISE_MOVE] = self._h_dise_move
         table[H_NOP] = self._h_nop
         table[H_HALT] = self._h_halt
         table[H_CODEWORD] = self._h_codeword
         table[H_SYSCALL] = self._h_syscall
-        table[H_ERET] = self._h_eret_t if timed else self._h_eret_f
+        table[H_ERET] = self._h_eret
         return tuple(table)
 
     # -- register helpers -----------------------------------------------------
@@ -665,10 +654,8 @@ class Machine:
                 from repro.cpu.compiled import CompiledTier
                 self._compiled = CompiledTier(self)
             self._compiled.run(limit)
-        elif self.timing is not None:
-            self._run_table_timed(limit)
         else:
-            self._run_table_functional(limit)
+            self._run_table(limit)
 
     def _run_core(self, limit: int) -> None:
         """Run in slices, composing every between-instruction event.
@@ -750,8 +737,8 @@ class Machine:
         self._checkpoint_fn = snapshot_fn or self.snapshot
         return self.checkpoint_store
 
-    def _run_table_timed(self, limit: int) -> None:
-        """Dispatch-table loop with the timing model attached."""
+    def _run_table(self, limit: int) -> None:
+        """The dispatch-table loop; ``timing`` is None on functional runs."""
         stats = self.stats
         timing = self.timing
         text = self._text
@@ -794,7 +781,8 @@ class Machine:
                 if self.breakpoint_registers or self.single_step:
                     if not self._fetch_stage_traps(pc):
                         break
-                timing.fetch(pc)
+                if timing is not None:
+                    timing.fetch(pc)
                 is_dise = False
                 if (eng_productions and engine.enabled
                         and not self._in_dise_function):
@@ -834,105 +822,20 @@ class Machine:
                 stats.dise_instructions += 1
             else:
                 stats.app_instructions += 1
-            timing.commit()
-            handlers[d.handler_index](inst, d, is_dise)
-
-    def _run_table_functional(self, limit: int) -> None:
-        """Dispatch-table loop for ``detailed_timing=False`` runs.
-
-        Identical semantics to :meth:`_run_table_timed` minus every
-        timing-model interaction (the handler table was bound to the
-        timing-free variants at construction).
-        """
-        stats = self.stats
-        text = self._text
-        text_len = len(text)
-        text_base = self._text_base
-        free_nops = self.config.free_nops
-        engine = self.dise_engine
-        eng_productions = engine._productions
-        eng_by_pc = engine._by_pc
-        eng_by_opclass = engine._by_opclass
-        eng_by_codeword = engine._by_codeword
-        eng_generic = engine._generic
-        handlers = self._handlers
-        instrumentation_pcs = self.instrumentation_pcs
-        nop_class = OpClass.NOP
-        codeword_op = Opcode.CODEWORD
-
-        while not self.halted:
-            if limit >= 0 and stats.app_instructions >= limit:
-                break
-            if self.stopped_at_user:
-                break
-
-            expansion = self._expansion
-            if expansion is not None:
-                inst = expansion[self._exp_index]
-                d = inst.decoded
-                if d is None:
-                    d = inst.decode()
-                is_dise = True
-            else:
-                pc = self.pc
-                index = (pc - text_base) >> 2
-                if index < 0 or index >= text_len:
-                    raise SimulationError(f"fetch outside text: pc={pc:#x}")
-                inst = text[index]
-                d = inst.decoded
-                if d is None:
-                    d = inst.decode()
-                if self.breakpoint_registers or self.single_step:
-                    if not self._fetch_stage_traps(pc):
-                        break
-                is_dise = False
-                if (eng_productions and engine.enabled
-                        and not self._in_dise_function):
-                    if (pc in eng_by_pc or d.opclass in eng_by_opclass
-                            or eng_generic
-                            or (inst.opcode is codeword_op
-                                and inst.imm in eng_by_codeword)):
-                        seq = engine.expand(inst, pc)
-                        if seq is not None:
-                            stats.dise_expansions += 1
-                            self._expansion = seq
-                            self._exp_index = 0
-                            self._trigger_pc = pc
-                            self._expansion_did_store = False
-                            inst = seq[0]
-                            d = inst.decoded
-                            if d is None:
-                                d = inst.decode()
-                            is_dise = True
-
-            observer = self.instruction_observer
-            if observer is not None:
-                observer(self.pc, self._exp_index if is_dise else 0, inst,
-                         is_dise)
-            if d.opclass is nop_class and free_nops:
-                stats.nops_elided += 1
-                self._advance()
-                continue
-            if is_dise:
-                if self._exp_index == 0:
-                    stats.app_instructions += 1
-                else:
-                    stats.dise_instructions += 1
-            elif self._in_dise_function:
-                stats.function_instructions += 1
-            elif instrumentation_pcs and self.pc in instrumentation_pcs:
-                stats.dise_instructions += 1
-            else:
-                stats.app_instructions += 1
+            if timing is not None:
+                timing.commit()
             handlers[d.handler_index](inst, d, is_dise)
 
     # -- dispatch-table handlers ------------------------------------------------
     #
-    # One method per handler index (see repro.isa.instruction).  Handlers
-    # with timing-model interactions come in a timed (`_t`) and a
-    # functional (`_f`) variant; `_build_handler_table` binds the right
-    # set once.  `d.fast_regs` marks instructions whose operands can be
-    # accessed directly in the GPR file (no zero/DISE-register checks).
+    # One method per handler index (see repro.isa.instruction), shared
+    # by timed and functional runs.  A handler calls the timing model
+    # only when `self.timing` is set; the only other update under that
+    # test is `dise_call_flushes`, a count the timing model decides
+    # (tests/test_differential.py checks that timed and functional runs
+    # agree on everything else).  `d.fast_regs` marks instructions whose
+    # operands can be accessed directly in the GPR file (no zero/DISE-
+    # register checks).
 
     def _h_alu_lda(self, inst: Instruction, d, is_dise: bool) -> None:
         if d.fast_regs:
@@ -972,7 +875,7 @@ class Machine:
             self._write_reg(inst.rd, d.alu_func(a, b), is_dise)
         self._advance()
 
-    def _h_load_f(self, inst: Instruction, d, is_dise: bool) -> None:
+    def _h_load(self, inst: Instruction, d, is_dise: bool) -> None:
         if d.fast_regs:
             regs = self.regs
             ea = (regs[inst.rs1] + inst.imm) & MASK64
@@ -982,22 +885,11 @@ class Machine:
             self._write_reg(inst.rd, self.memory.read_int(ea, d.mem_size),
                             is_dise)
         self.stats.loads += 1
+        if self.timing is not None:
+            self.timing.load(ea)
         self._advance()
 
-    def _h_load_t(self, inst: Instruction, d, is_dise: bool) -> None:
-        if d.fast_regs:
-            regs = self.regs
-            ea = (regs[inst.rs1] + inst.imm) & MASK64
-            regs[inst.rd] = self.memory.read_int(ea, d.mem_size)
-        else:
-            ea = (self._read_reg(inst.rs1, is_dise) + inst.imm) & MASK64
-            self._write_reg(inst.rd, self.memory.read_int(ea, d.mem_size),
-                            is_dise)
-        self.stats.loads += 1
-        self.timing.load(ea)
-        self._advance()
-
-    def _h_store_f(self, inst: Instruction, d, is_dise: bool) -> None:
+    def _h_store(self, inst: Instruction, d, is_dise: bool) -> None:
         if d.fast_regs:
             regs = self.regs
             ea = (regs[inst.rs1] + inst.imm) & MASK64
@@ -1012,24 +904,8 @@ class Machine:
         if is_dise:
             self._expansion_did_store = True
         self.stats.stores += 1
-        self._finish_store(ea, size, value)
-
-    def _h_store_t(self, inst: Instruction, d, is_dise: bool) -> None:
-        if d.fast_regs:
-            regs = self.regs
-            ea = (regs[inst.rs1] + inst.imm) & MASK64
-            value = regs[inst.rd]
-        else:
-            ea = (self._read_reg(inst.rs1, is_dise) + inst.imm) & MASK64
-            value = self._read_reg(inst.rd, is_dise)
-        size = d.mem_size
-        self.last_store_addr = ea
-        self.last_store_size = size
-        self.last_store_value = value
-        if is_dise:
-            self._expansion_did_store = True
-        self.stats.stores += 1
-        self.timing.store(ea)
+        if self.timing is not None:
+            self.timing.store(ea)
         self._finish_store(ea, size, value)
 
     def _finish_store(self, ea: int, size: int, value: int) -> None:
@@ -1055,82 +931,53 @@ class Machine:
                     break
         self._advance()
 
-    def _h_branch_f(self, inst: Instruction, d, is_dise: bool) -> None:
-        value = (self.regs[inst.rs1] if d.fast_regs
-                 else self._read_reg(inst.rs1, is_dise))
-        stats = self.stats
-        stats.branches += 1
-        if d.branch_func(value):
-            stats.taken_branches += 1
-            self._jump(inst.target)
-        else:
-            self._advance()
-
-    def _h_branch_t(self, inst: Instruction, d, is_dise: bool) -> None:
+    def _h_branch(self, inst: Instruction, d, is_dise: bool) -> None:
         value = (self.regs[inst.rs1] if d.fast_regs
                  else self._read_reg(inst.rs1, is_dise))
         taken = d.branch_func(value)
         stats = self.stats
         stats.branches += 1
-        # Decorrelate predictor indices of expansion-internal branches
-        # from the trigger's own PC.
-        branch_pc = self.pc + (self._exp_index << 20 if is_dise else 0)
-        self.timing.conditional_branch(branch_pc, taken)
+        if self.timing is not None:
+            # Decorrelate predictor indices of expansion-internal
+            # branches from the trigger's own PC.
+            branch_pc = self.pc + (self._exp_index << 20 if is_dise else 0)
+            self.timing.conditional_branch(branch_pc, taken)
         if taken:
             stats.taken_branches += 1
             self._jump(inst.target)
         else:
             self._advance()
 
-    def _h_jump_br_f(self, inst: Instruction, d, is_dise: bool) -> None:
+    def _h_jump_br(self, inst: Instruction, d, is_dise: bool) -> None:
+        if self.timing is not None:
+            self.timing.direct_jump()
         self._jump(inst.target)
 
-    def _h_jump_br_t(self, inst: Instruction, d, is_dise: bool) -> None:
-        self.timing.direct_jump()
-        self._jump(inst.target)
-
-    def _jsr_return_pc(self) -> int:
+    def _h_jump_jsr(self, inst: Instruction, d, is_dise: bool) -> None:
         if self._expansion is not None:
-            return self._trigger_pc + INSTRUCTION_BYTES
-        return self.pc + INSTRUCTION_BYTES
-
-    def _h_jump_jsr_f(self, inst: Instruction, d, is_dise: bool) -> None:
-        return_pc = self._jsr_return_pc()
+            return_pc = self._trigger_pc + INSTRUCTION_BYTES
+        else:
+            return_pc = self.pc + INSTRUCTION_BYTES
         if d.fast_regs:
             self.regs[inst.rd] = return_pc
         else:
             self._write_reg(inst.rd, return_pc, is_dise)
+        if self.timing is not None:
+            self.timing.call(self.pc, return_pc)
         self._jump(inst.target)
 
-    def _h_jump_jsr_t(self, inst: Instruction, d, is_dise: bool) -> None:
-        return_pc = self._jsr_return_pc()
-        if d.fast_regs:
-            self.regs[inst.rd] = return_pc
-        else:
-            self._write_reg(inst.rd, return_pc, is_dise)
-        self.timing.call(self.pc, return_pc)
-        self._jump(inst.target)
-
-    def _h_jump_ret_f(self, inst: Instruction, d, is_dise: bool) -> None:
+    def _h_jump_ret(self, inst: Instruction, d, is_dise: bool) -> None:
         target = (self.regs[inst.rs1] if d.fast_regs
                   else self._read_reg(inst.rs1, is_dise))
+        if self.timing is not None:
+            self.timing.return_(self.pc, target)
         self._jump(target)
 
-    def _h_jump_ret_t(self, inst: Instruction, d, is_dise: bool) -> None:
+    def _h_jump_jmp(self, inst: Instruction, d, is_dise: bool) -> None:
         target = (self.regs[inst.rs1] if d.fast_regs
                   else self._read_reg(inst.rs1, is_dise))
-        self.timing.return_(self.pc, target)
-        self._jump(target)
-
-    def _h_jump_jmp_f(self, inst: Instruction, d, is_dise: bool) -> None:
-        target = (self.regs[inst.rs1] if d.fast_regs
-                  else self._read_reg(inst.rs1, is_dise))
-        self._jump(target)
-
-    def _h_jump_jmp_t(self, inst: Instruction, d, is_dise: bool) -> None:
-        target = (self.regs[inst.rs1] if d.fast_regs
-                  else self._read_reg(inst.rs1, is_dise))
-        self.timing.indirect_jump(self.pc, target)
+        if self.timing is not None:
+            self.timing.indirect_jump(self.pc, target)
         self._jump(target)
 
     def _h_trap(self, inst: Instruction, d, is_dise: bool) -> None:
@@ -1144,7 +991,7 @@ class Machine:
             self._deliver_explicit_trap(is_dise)
         self._advance()
 
-    def _h_dise_branch_f(self, inst: Instruction, d, is_dise: bool) -> None:
+    def _h_dise_branch(self, inst: Instruction, d, is_dise: bool) -> None:
         expansion = self._expansion
         if expansion is None:
             raise SimulationError("DISE branch outside a replacement "
@@ -1159,33 +1006,14 @@ class Machine:
             self._advance()
             return
         self.stats.dise_branch_flushes += 1
+        if self.timing is not None:
+            self.timing.dise_branch_taken()
         self._exp_index += 1 + inst.imm
         if self._exp_index >= len(expansion):
             self._expansion = None
             self.pc = self._trigger_pc + INSTRUCTION_BYTES
 
-    def _h_dise_branch_t(self, inst: Instruction, d, is_dise: bool) -> None:
-        expansion = self._expansion
-        if expansion is None:
-            raise SimulationError("DISE branch outside a replacement "
-                                  f"sequence at pc={self.pc:#x}")
-        opcode = inst.opcode
-        if opcode is Opcode.D_BR:
-            taken = True
-        else:
-            value = self._read_reg(inst.rs1, True)
-            taken = (value == 0) if opcode is Opcode.D_BEQ else (value != 0)
-        if not taken:
-            self._advance()
-            return
-        self.stats.dise_branch_flushes += 1
-        self.timing.dise_branch_taken()
-        self._exp_index += 1 + inst.imm
-        if self._exp_index >= len(expansion):
-            self._expansion = None
-            self.pc = self._trigger_pc + INSTRUCTION_BYTES
-
-    def _h_dise_call_f(self, inst: Instruction, d, is_dise: bool) -> None:
+    def _h_dise_call(self, inst: Instruction, d, is_dise: bool) -> None:
         if (inst.opcode is Opcode.D_CCALL
                 and self._read_reg(inst.rs1, True) == 0):
             self._advance()
@@ -1197,41 +1025,14 @@ class Machine:
                              self._exp_index + 1)
         self._in_dise_function = True
         self._expansion = None
+        timing = self.timing
+        if timing is not None:
+            suppressed = timing.dise_call()
+            if not suppressed:
+                self.stats.dise_call_flushes += 1
         self.pc = inst.target
 
-    def _h_dise_call_t(self, inst: Instruction, d, is_dise: bool) -> None:
-        if (inst.opcode is Opcode.D_CCALL
-                and self._read_reg(inst.rs1, True) == 0):
-            self._advance()
-            return
-        if self._expansion is None:
-            raise SimulationError("DISE call outside a replacement "
-                                  f"sequence at pc={self.pc:#x}")
-        self._dise_return = (self._trigger_pc, self._expansion,
-                             self._exp_index + 1)
-        self._in_dise_function = True
-        self._expansion = None
-        suppressed = self.timing.dise_call()
-        if not suppressed:
-            self.stats.dise_call_flushes += 1
-        self.pc = inst.target
-
-    def _h_dise_ret_f(self, inst: Instruction, d, is_dise: bool) -> None:
-        if not self._in_dise_function or self._dise_return is None:
-            raise SimulationError(
-                f"d_ret outside a DISE-called function at pc={self.pc:#x}")
-        trigger_pc, expansion, resume = self._dise_return
-        self._dise_return = None
-        self._in_dise_function = False
-        if resume >= len(expansion):
-            self._expansion = None
-            self.pc = trigger_pc + INSTRUCTION_BYTES
-        else:
-            self._expansion = expansion
-            self._exp_index = resume
-            self._trigger_pc = trigger_pc
-
-    def _h_dise_ret_t(self, inst: Instruction, d, is_dise: bool) -> None:
+    def _h_dise_ret(self, inst: Instruction, d, is_dise: bool) -> None:
         if not self._in_dise_function or self._dise_return is None:
             raise SimulationError(
                 f"d_ret outside a DISE-called function at pc={self.pc:#x}")
@@ -1239,8 +1040,9 @@ class Machine:
         self._dise_return = None
         self._in_dise_function = False
         timing = self.timing
-        timing.dise_return()
-        self.stats.dise_call_flushes += 0 if timing.multithreaded else 1
+        if timing is not None:
+            timing.dise_return()
+            self.stats.dise_call_flushes += 0 if timing.multithreaded else 1
         if resume >= len(expansion):
             self._expansion = None
             self.pc = trigger_pc + INSTRUCTION_BYTES
@@ -1310,26 +1112,21 @@ class Machine:
         elif num == SYS_EXIT:
             self.halted = True
 
-    def _h_eret_f(self, inst: Instruction, d, is_dise: bool) -> None:
+    def _h_eret(self, inst: Instruction, d, is_dise: bool) -> None:
         if not self.kernel_mode:
             raise SimulationError(f"eret in user mode at pc={self.pc:#x}")
         self.kernel_mode = False
-        self._jump(self.trap_epc)
-
-    def _h_eret_t(self, inst: Instruction, d, is_dise: bool) -> None:
-        if not self.kernel_mode:
-            raise SimulationError(f"eret in user mode at pc={self.pc:#x}")
-        self.kernel_mode = False
-        self.timing.flush()
+        if self.timing is not None:
+            self.timing.flush()
         self._jump(self.trap_epc)
 
     # -- legacy interpreter ------------------------------------------------------
     #
     # The pre-dispatch-table interpreter, preserved verbatim (modulo the
     # interactive-stop and trap-context bugfixes, which apply to both
-    # paths) behind ``MachineConfig.legacy_interpreter``.  The
-    # differential suite runs it against the dispatch table to prove the
-    # rewrite is bit-identical; remove it once that guarantee has baked.
+    # paths) as the ``"legacy"`` tier.  The differential suite runs it
+    # against the dispatch table to prove the rewrite is bit-identical;
+    # remove it once that guarantee has baked.
 
     def _run_legacy(self, limit: int) -> None:
         stats = self.stats
@@ -1659,15 +1456,3 @@ class Machine:
         if self._exp_index >= len(self._expansion):
             self._expansion = None
             self.pc = self._trigger_pc + INSTRUCTION_BYTES
-
-
-def __getattr__(name: str):
-    if name == "RunResult":
-        import warnings
-
-        warnings.warn(
-            "repro.cpu.machine.RunResult was renamed MachineRun; "
-            "repro.RunResult is now the unified result type "
-            "(repro.results.RunResult)", DeprecationWarning, stacklevel=2)
-        return MachineRun
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,7 +14,7 @@
 
 from repro.debugger.expressions import parse_expression, Expression
 from repro.debugger.watchpoint import Watchpoint, Breakpoint
-from repro.debugger.session import DebugSession, Session
+from repro.debugger.session import Session
 from repro.debugger.backends import BACKENDS, backend_class
 
 __all__ = [
@@ -23,15 +23,6 @@ __all__ = [
     "Watchpoint",
     "Breakpoint",
     "Session",
-    "DebugSession",
     "BACKENDS",
     "backend_class",
 ]
-
-
-def __getattr__(name: str):
-    if name == "SessionResult":  # unified into repro.results.RunResult
-        from repro.debugger import session
-
-        return session.SessionResult  # emits the DeprecationWarning
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

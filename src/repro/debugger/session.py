@@ -8,9 +8,7 @@ versus an undebugged baseline — all packaged in the unified
 :class:`repro.results.RunResult` record.
 
 The supported way to obtain a session is :func:`repro.api.debug`;
-constructing :class:`Session` directly is equivalent.  The historical
-names ``DebugSession`` and ``run_undebugged`` remain as thin deprecated
-shims that emit :class:`DeprecationWarning`.
+constructing :class:`Session` directly is equivalent.
 
 Example::
 
@@ -26,7 +24,6 @@ Example::
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Optional, Union
 
 from repro.config import MachineConfig
@@ -136,17 +133,6 @@ class Session:
         )
 
 
-class DebugSession(Session):
-    """Deprecated name for :class:`Session` (use :func:`repro.api.debug`)."""
-
-    def __init__(self, *args, **kwargs):
-        warnings.warn(
-            "DebugSession is deprecated; use repro.api.debug() (or "
-            "repro.debugger.session.Session)", DeprecationWarning,
-            stacklevel=2)
-        super().__init__(*args, **kwargs)
-
-
 def _undebugged_run(program: Program,
                     config: Optional[MachineConfig] = None,
                     max_app_instructions: Optional[int] = None) -> MachineRun:
@@ -155,20 +141,3 @@ def _undebugged_run(program: Program,
 
     machine = Machine(program, config)
     return machine.run(max_app_instructions)
-
-
-def run_undebugged(program: Program, config: Optional[MachineConfig] = None,
-                   max_app_instructions: Optional[int] = None) -> MachineRun:
-    """Deprecated name for the baseline run (use :func:`repro.api.simulate`)."""
-    warnings.warn("run_undebugged is deprecated; use repro.api.simulate()",
-                  DeprecationWarning, stacklevel=2)
-    return _undebugged_run(program, config, max_app_instructions)
-
-
-def __getattr__(name: str):
-    if name == "SessionResult":
-        warnings.warn(
-            "SessionResult was unified into repro.results.RunResult",
-            DeprecationWarning, stacklevel=2)
-        return RunResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

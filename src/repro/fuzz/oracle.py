@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.config import DEFAULT_CONFIG, MachineConfig
+from repro.config import DEFAULT_CONFIG, INTERPRETERS, MachineConfig
 from repro.cpu.machine import Machine, TrapEvent
 from repro.cpu.stats import TransitionKind
 from repro.debugger.backends import backend_class
@@ -183,20 +183,12 @@ class OracleReport:
         }
 
 
-#: Interpreter legs every backend is exercised on.  "table" is the
-#: reference; the others must be observationally identical to it.
-INTERPRETERS = ("table", "legacy", "compiled")
-
-
 def _interp_config(base: Optional[MachineConfig], interp: str
                    ) -> MachineConfig:
     config = base or DEFAULT_CONFIG
-    legacy = interp == "legacy"
-    field = "compiled" if interp == "compiled" else "table"
-    if config.legacy_interpreter != legacy or config.interpreter != field:
-        config = replace(config, legacy_interpreter=legacy,
-                         interpreter=field)
-    if field == "compiled" and config.compiled_hot_threshold != 1:
+    if config.interpreter != interp:
+        config = replace(config, interpreter=interp)
+    if interp == "compiled" and config.compiled_hot_threshold != 1:
         # Generated programs are tiny; compile every block on first
         # visit so shrunk reproducers stay small and invalidation bugs
         # cannot hide behind warm-up heuristics.

@@ -137,10 +137,7 @@ class CellSpec:
         the config payload.
         """
         if interpreter is not None:
-            config = (config or DEFAULT_CONFIG).with_(
-                legacy_interpreter=interpreter == "legacy",
-                interpreter=("compiled" if interpreter == "compiled"
-                             else "table"))
+            config = (config or DEFAULT_CONFIG).with_(interpreter=interpreter)
         return cls(
             benchmark=benchmark,
             kind=kind,

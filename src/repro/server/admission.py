@@ -91,7 +91,10 @@ class InstructionBudget:
 
     def admit(self, verb: str, args: list) -> Optional[str]:
         """None to admit, or a rejection message for ``over-budget``."""
-        asked = self.requested(verb, args)
+        return self.check(verb, self.requested(verb, args))
+
+    def check(self, verb: str, asked: Optional[int]) -> Optional[str]:
+        """:meth:`admit` for an already-parsed instruction count."""
         if asked is not None and asked > self.max_instructions:
             return (f"{verb} requested {asked:,} instructions; the "
                     f"per-command budget is {self.max_instructions:,}")

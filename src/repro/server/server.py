@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from repro.debugger.dispatcher import DEFAULT_STEP
+from repro.debugger.dispatcher import DEFAULT_STEP, CommandError
 from repro.server import protocol, worker
 from repro.server.admission import InstructionBudget, TokenBucket
 from repro.server.metrics import ServerMetrics
@@ -319,8 +319,21 @@ class DebugServer:
         A session pins the cell to its own shard (cache affinity with
         whatever that worker already computed); session-free requests
         hash the cell identity so repeats land on the same shard and
-        are answered from its cache without recomputation.
+        are answered from its cache without recomputation.  Budgets are
+        checked here, before any shard queues the cell: a malformed one
+        is ``bad-request``, one past the per-command cap ``over-budget``.
         """
+        if isinstance(request.args, dict):
+            try:
+                asked = sum(worker.experiment_budgets(request.args))
+            except CommandError as exc:
+                return protocol.error_reply(None, exc.code, str(exc),
+                                            session=request.session)
+            rejection = self.instruction_budget.check("experiment", asked)
+            if rejection is not None:
+                return protocol.error_reply(None, protocol.OVER_BUDGET,
+                                            rejection,
+                                            session=request.session)
         entry = self.sessions.get(request.session or "")
         if entry is not None:
             shard = entry.shard

@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 from typing import Optional
 
+from repro.config import INTERPRETERS
 from repro.debugger.dispatcher import (DEFAULT_STEP, CommandDispatcher,
                                        CommandError)
 from repro.errors import ReproError
@@ -141,6 +142,23 @@ def _close_session(envelope: dict) -> dict:
                text=f"Session {session} closed.")
 
 
+def experiment_budgets(args: dict) -> tuple[int, int]:
+    """The ``(measure, warmup)`` budgets an experiment asks for.
+
+    Raises :class:`CommandError` (``bad-request``) unless each is a JSON
+    integer, the measure positive (a cell measures at least one
+    instruction) and the warm-up non-negative.
+    """
+    budgets = []
+    for key, default, least in (("measure", 10_000, 1), ("warmup", 5_000, 0)):
+        value = args.get(key, default)
+        if type(value) is not int or value < least:
+            raise CommandError(f"experiment {key!r} must be an integer "
+                               f">= {least}, not {value!r}")
+        budgets.append(value)
+    return budgets[0], budgets[1]
+
+
 def _experiment(envelope: dict) -> dict:
     """Run one experiment cell, answered from this worker's cache shard.
 
@@ -162,15 +180,19 @@ def _experiment(envelope: dict) -> dict:
     options = args.get("options") or {}
     if not isinstance(options, dict):
         raise CommandError("experiment 'options' must be an object")
+    measure, warmup = experiment_budgets(args)
+    interpreter = args.get("interpreter")
+    if interpreter is not None and interpreter not in INTERPRETERS:
+        raise CommandError(f"unknown interpreter {interpreter!r}; expected "
+                           f"one of {', '.join(INTERPRETERS)}")
     spec = CellSpec.make(
         benchmark, str(args.get("kind", "HOT")),
         str(args.get("backend", "dise")),
         conditional=bool(args.get("conditional", False)),
-        interpreter=args.get("interpreter"),
+        interpreter=interpreter,
         **options)
-    settings = ExperimentSettings(
-        measure_instructions=int(args.get("measure", 10_000)),
-        warmup_instructions=int(args.get("warmup", 5_000)))
+    settings = ExperimentSettings(measure_instructions=measure,
+                                  warmup_instructions=warmup)
     cache = ResultCache(envelope.get("cache_dir"),
                         enabled=envelope.get("cache_dir") is not None)
     result = run_spec(spec, settings, cache=cache)

@@ -20,10 +20,9 @@ from repro.isa.opcodes import Opcode
 from repro.isa.registers import SP, dise_reg
 from repro.workloads.benchmarks import build_benchmark
 
-TABLE = DEFAULT_CONFIG.with_(legacy_interpreter=False, interpreter="table")
-COMPILED = DEFAULT_CONFIG.with_(legacy_interpreter=False,
-                                interpreter="compiled")
-LEGACY = DEFAULT_CONFIG.with_(legacy_interpreter=True)
+TABLE = DEFAULT_CONFIG.with_(interpreter="table")
+COMPILED = DEFAULT_CONFIG.with_(interpreter="compiled")
+LEGACY = DEFAULT_CONFIG.with_(interpreter="legacy")
 CONFIGS = {"table": TABLE, "legacy": LEGACY, "compiled": COMPILED}
 
 LOOP = """

@@ -12,9 +12,8 @@ from repro.isa import assemble
 from repro.kernel import Kernel
 from repro.replay.reverse import ReverseController
 
-TABLE = DEFAULT_CONFIG.with_(legacy_interpreter=False, interpreter="table")
-COMPILED = DEFAULT_CONFIG.with_(legacy_interpreter=False,
-                                interpreter="compiled",
+TABLE = DEFAULT_CONFIG.with_(interpreter="table")
+COMPILED = DEFAULT_CONFIG.with_(interpreter="compiled",
                                 compiled_hot_threshold=1)
 TIERS = {"table": TABLE, "compiled": COMPILED}
 

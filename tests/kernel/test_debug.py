@@ -9,9 +9,8 @@ from repro.debugger.watchpoint import Watchpoint
 from repro.isa import assemble
 from repro.replay.reverse import ReverseController
 
-TABLE = DEFAULT_CONFIG.with_(legacy_interpreter=False, interpreter="table")
-COMPILED = DEFAULT_CONFIG.with_(legacy_interpreter=False,
-                                interpreter="compiled",
+TABLE = DEFAULT_CONFIG.with_(interpreter="table")
+COMPILED = DEFAULT_CONFIG.with_(interpreter="compiled",
                                 compiled_hot_threshold=1)
 BACKENDS = ("single_step", "virtual_memory", "hardware", "binary_rewrite",
             "dise")

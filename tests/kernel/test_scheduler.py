@@ -10,9 +10,8 @@ from repro.kernel import DEFAULT_QUANTUM, Kernel, ProcessContext
 from repro.workloads.corpus import (load_program_file, programs_dir,
                                     system_corpus)
 
-TABLE = DEFAULT_CONFIG.with_(legacy_interpreter=False, interpreter="table")
-COMPILED = DEFAULT_CONFIG.with_(legacy_interpreter=False,
-                                interpreter="compiled",
+TABLE = DEFAULT_CONFIG.with_(interpreter="table")
+COMPILED = DEFAULT_CONFIG.with_(interpreter="compiled",
                                 compiled_hot_threshold=1)
 TIERS = {"table": TABLE, "compiled": COMPILED}
 

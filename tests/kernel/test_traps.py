@@ -8,10 +8,9 @@ from repro.cpu.machine import (CAUSE_SYSCALL, CAUSE_TIMER, Machine,
 from repro.errors import SimulationError
 from repro.isa import assemble
 
-TABLE = DEFAULT_CONFIG.with_(legacy_interpreter=False, interpreter="table")
-LEGACY = DEFAULT_CONFIG.with_(legacy_interpreter=True)
-COMPILED = DEFAULT_CONFIG.with_(legacy_interpreter=False,
-                                interpreter="compiled",
+TABLE = DEFAULT_CONFIG.with_(interpreter="table")
+LEGACY = DEFAULT_CONFIG.with_(interpreter="legacy")
+COMPILED = DEFAULT_CONFIG.with_(interpreter="compiled",
                                 compiled_hot_threshold=1)
 CONFIGS = {"table": TABLE, "legacy": LEGACY, "compiled": COMPILED}
 

@@ -248,6 +248,10 @@ SCRIPT = [
     # Error replies are part of the contract too.
     ("delete", ["99"], True),
     ("run", ["zillion"], True),
+    # gcc never halts: an unbounded measure would wedge the shard.
+    ("experiment", {"benchmark": "gcc", "measure": -1}, True),
+    ("experiment", {"benchmark": "mcf", "interpreter": "bogus"}, True),
+    ("experiment", {"benchmark": "mcf", "measure": 5_000_000}, True),
     ("print", ["hot"], False),  # no session -> no-session
     ("close-session", [], True),
     ("print", ["hot"], True),   # closed session -> no-session

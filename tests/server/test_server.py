@@ -171,6 +171,32 @@ def test_experiment_is_served_cache_first(server_config):
     run_async(scenario())
 
 
+def test_experiment_rejects_malformed_cells(tmp_path):
+    """Budgets must be JSON integers and tiers exact names: nothing is
+    coerced into a cell the client did not ask for."""
+    async def scenario():
+        config = thread_config(tmp_path, max_command_instructions=10_000)
+        async with running_server(config) as server:
+            async with connected(server) as client:
+                for extra, code in (
+                        ({"measure": "2000"}, protocol.BAD_REQUEST),
+                        ({"warmup": 1.5}, protocol.BAD_REQUEST),
+                        ({"measure": True}, protocol.BAD_REQUEST),
+                        ({"measure": 0}, protocol.BAD_REQUEST),
+                        ({"measure": 100, "interpreter": "Compiled"},
+                         protocol.BAD_REQUEST),
+                        ({"measure": 100, "interpreter": 42},
+                         protocol.BAD_REQUEST),
+                        # The default budgets (10,000 + 5,000) count.
+                        ({}, protocol.OVER_BUDGET)):
+                    with pytest.raises(ServerError) as excinfo:
+                        await client.request("experiment",
+                                             {"benchmark": "mcf", **extra})
+                    assert excinfo.value.code == code, extra
+
+    run_async(scenario())
+
+
 def test_experiment_shards_honour_cache_dir(tmp_path):
     async def scenario():
         base = tmp_path / "explicit_cache"

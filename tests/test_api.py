@@ -1,4 +1,4 @@
-"""The repro.api facade and the deprecation shims it supersedes."""
+"""The repro.api facade."""
 
 import pytest
 
@@ -94,33 +94,3 @@ def test_facade_reexported_from_package_root():
     assert repro.experiment is experiment
     assert repro.RunResult is RunResult
 
-
-def test_debugsession_shim_warns():
-    with pytest.warns(DeprecationWarning, match="Session"):
-        session = repro.DebugSession(make_watch_loop(), backend="dise")
-    session.watch("hot")
-    result = session.run(max_app_instructions=2_000)
-    assert isinstance(result, RunResult)
-
-
-def test_run_undebugged_shim_warns():
-    from repro.debugger import session as session_module
-
-    with pytest.warns(DeprecationWarning, match="simulate"):
-        run = session_module.run_undebugged(make_watch_loop(),
-                                            max_app_instructions=100)
-    assert run.stats.app_instructions == 100
-
-
-def test_sessionresult_name_warns_and_is_runresult():
-    with pytest.warns(DeprecationWarning, match="RunResult"):
-        from repro.debugger.session import SessionResult
-    assert SessionResult is RunResult
-
-
-def test_machine_runresult_name_warns_and_is_machinerun():
-    from repro.cpu import machine
-
-    with pytest.warns(DeprecationWarning, match="MachineRun"):
-        old = machine.RunResult
-    assert old is machine.MachineRun

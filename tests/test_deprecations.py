@@ -1,14 +1,9 @@
-"""Deprecation shims: one warning per use, unchanged behavior."""
+"""The supported spellings run without a DeprecationWarning."""
 
 import warnings
 
 import pytest
 
-import repro
-import repro.cpu
-import repro.cpu.machine
-import repro.debugger
-import repro.debugger.session as session_module
 from repro.cpu.machine import MachineRun
 from repro.debugger.session import Session
 from repro.results import RunResult
@@ -23,52 +18,6 @@ def recorded():
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
         yield record
-
-
-def test_debug_session_warns_once_and_still_works(count_loop_program,
-                                                  recorded):
-    session = session_module.DebugSession(count_loop_program,
-                                          backend="single_step")
-    assert len(_deprecations(recorded)) == 1
-    assert "DebugSession is deprecated" in str(recorded[0].message)
-
-    session.watch("counter")
-    result = session.run()
-    assert isinstance(result, RunResult)
-    assert result.halted
-    # Identical behavior to the supported spelling.
-    supported = Session(count_loop_program, backend="single_step")
-    supported.watch("counter")
-    assert result.user_transitions == supported.run().user_transitions > 0
-    assert len(_deprecations(recorded)) == 1  # running adds no warning
-
-
-def test_run_undebugged_warns_once_and_still_works(count_loop_program,
-                                                   recorded):
-    run = session_module.run_undebugged(count_loop_program)
-    assert len(_deprecations(recorded)) == 1
-    assert "run_undebugged is deprecated" in str(recorded[0].message)
-    assert isinstance(run, MachineRun)
-    assert run.halted
-
-
-def test_session_result_alias_warns_once_everywhere(recorded):
-    assert session_module.SessionResult is RunResult
-    assert len(_deprecations(recorded)) == 1
-    # The package-level re-exports forward to the same single shim.
-    assert repro.SessionResult is RunResult
-    assert repro.debugger.SessionResult is RunResult
-    assert len(_deprecations(recorded)) == 3
-    for w in _deprecations(recorded):
-        assert "SessionResult" in str(w.message)
-
-
-def test_cpu_run_result_alias_warns_once_and_is_machine_run(recorded):
-    assert repro.cpu.machine.RunResult is MachineRun
-    assert len(_deprecations(recorded)) == 1
-    assert "renamed MachineRun" in str(recorded[0].message)
-    assert repro.cpu.RunResult is MachineRun
-    assert len(_deprecations(recorded)) == 2
 
 
 def test_supported_spellings_do_not_warn(count_loop_program, recorded):

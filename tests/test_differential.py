@@ -145,17 +145,22 @@ def test_transition_invariants_hold_on_random_programs(seed):
 # cycles — across every backend, plus recorded absolute expectations so
 # a simultaneous drift of both interpreters cannot slip through.
 
-LEGACY_CONFIG = MachineConfig(legacy_interpreter=True)
+LEGACY_CONFIG = MachineConfig(interpreter="legacy")
 TABLE_CONFIG = MachineConfig()
 
 
-def _backend_stats(seed, backend, config):
+def _backend_machine(seed, backend, config, detailed_timing=True):
     program = generate_program(seed).build()
-    session = Session(program, backend=backend, config=config)
+    session = Session(program, backend=backend, config=config,
+                      detailed_timing=detailed_timing)
     session.watch("v0")
     debugged = session.build_backend()
     debugged.machine.run(max_app_instructions=50_000)
-    return debugged.machine.stats
+    return debugged.machine
+
+
+def _backend_stats(seed, backend, config):
+    return _backend_machine(seed, backend, config).stats
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -178,6 +183,38 @@ def test_functional_fast_path_matches_legacy(seed):
         machine.run(max_app_instructions=50_000)
         outcomes.append((machine.stats, list(machine.regs)))
     assert outcomes[0] == outcomes[1]
+
+
+# -- timed vs functional runs ---------------------------------------------
+#
+# Each tier runs timed and functional (detailed_timing=False) through one
+# code path that skips the timing model's events when it is detached.
+# Skipping them must change nothing else: a semantic update misplaced
+# under a handler's timing test shows up here as a register or counter
+# that differs between the two modes.
+
+# Compiling on first visit puts these short programs on compiled blocks,
+# which differ between the modes (if-conversion is functional-only).
+COMPILED_CONFIG = MachineConfig(interpreter="compiled",
+                                compiled_hot_threshold=1)
+#: What only the timing model decides: a functional run reports its
+#: instruction count as cycles and counts no DISE call flushes.
+TIMING_ONLY_STATS = ("cycles", "dise_call_flushes")
+
+
+@pytest.mark.parametrize("config", (TABLE_CONFIG, COMPILED_CONFIG),
+                         ids=("table", "compiled"))
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("seed", SEEDS[:5])
+def test_functional_run_matches_timed_run(seed, backend, config):
+    runs = []
+    for detailed_timing in (True, False):
+        machine = _backend_machine(seed, backend, config, detailed_timing)
+        stats = machine.stats.to_dict()
+        for name in TIMING_ONLY_STATS:
+            del stats[name]
+        runs.append((list(machine.regs), stats))
+    assert runs[0] == runs[1], (seed, backend)
 
 
 # Recorded expectations for seed 0, captured from the seed interpreter:
