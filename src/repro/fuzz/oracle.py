@@ -24,6 +24,11 @@ interpreters, and checks:
   explicitly *not* compared across backends: they are the mechanism
   cost the paper measures, and legitimately differ.
 
+The tier x backend part is :func:`run_matrix`, which corpus
+conformance (:mod:`repro.workloads.conformance`) runs too, and every
+debugged run — in the matrix, in conformance and in each leg — is
+built by one helper, ``_debugged``.
+
 Raw stop PCs are **not** comparable across backends — binary rewriting
 shifts text addresses, single-stepping stops at the statement after a
 store, and DISE traps from inside an expansion.  The canonical
@@ -38,7 +43,7 @@ only append), so watched-variable reads need no translation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from repro.config import DEFAULT_CONFIG, INTERPRETERS, MachineConfig
 from repro.cpu.machine import Machine, TrapEvent
@@ -214,21 +219,30 @@ def _final_state(spec: ProgramSpec, program, memory) -> tuple:
     return tuple(out)
 
 
-def _run_undebugged(spec: ProgramSpec, config: Optional[MachineConfig],
-                    interp: str = "table") -> RunOutcome:
-    name = f"undebugged/{interp}"
-    try:
-        program = build_program(spec)
-        machine = Machine(program, _interp_config(config, interp),
-                          detailed_timing=False)
-        run = machine.run(dynamic_budget(spec))
-        return RunOutcome(
-            name=name, halted=run.halted,
-            regs=tuple(machine.regs[r] for r in COMPARE_REGS),
-            state=_final_state(spec, program, machine.memory),
-            stats=run.stats.to_dict())
-    except Exception as exc:  # noqa: BLE001 - a crash IS the finding
-        return RunOutcome(name=name, error=f"{type(exc).__name__}: {exc}")
+def _debugged(backend_name: str, program, watchpoints, breakpoints,
+              config: Optional[MachineConfig], interp: str, **options):
+    """Build one debugged run: ``program`` under ``backend_name`` on tier
+    ``interp`` in functional mode, its stops recorded.
+
+    Every debugged run of the matrix, of corpus conformance and of the
+    toggle, checkpoint, interrupt and timeline legs starts here.
+    Returns ``(backend, recorder)``.
+    """
+    backend = backend_class(backend_name)(
+        program, watchpoints, breakpoints, _interp_config(config, interp),
+        detailed_timing=False, **options)
+    return backend, StopRecorder(backend)
+
+
+def _outcome(name: str, run, machine, state: tuple,
+             recorder: Optional[StopRecorder] = None,
+             **fields) -> RunOutcome:
+    """The observable result of ``run``, a finished run of ``machine``."""
+    return RunOutcome(
+        name=name, halted=run.halted,
+        stops=tuple(recorder.stops) if recorder else (),
+        regs=tuple(machine.regs[r] for r in COMPARE_REGS),
+        state=state, stats=run.stats.to_dict(), **fields)
 
 
 def _build_points(spec: ProgramSpec) -> tuple[list[Watchpoint],
@@ -244,28 +258,37 @@ def _build_points(spec: ProgramSpec) -> tuple[list[Watchpoint],
     return watchpoints, breakpoints
 
 
-def _run_backend(spec: ProgramSpec, backend_name: str,
+def _run_backend(spec: ProgramSpec, backend_name: Optional[str],
                  config: Optional[MachineConfig],
                  interp: str = "table") -> RunOutcome:
+    """One cell of the matrix: ``spec`` on tier ``interp`` under
+    ``backend_name``, or undebugged when it is None."""
     from repro.fuzz.inject import applied_injection
 
-    name = f"{backend_name}/{interp}"
+    name = f"{backend_name or 'undebugged'}/{interp}"
     try:
         with applied_injection(spec.inject, backend_name):
             program = build_program(spec)
-            watchpoints, breakpoints = _build_points(spec)
-            backend = backend_class(backend_name)(
-                program, watchpoints, breakpoints,
-                _interp_config(config, interp), detailed_timing=False)
-            recorder = StopRecorder(backend)
-            run = backend.run(dynamic_budget(spec))
-        return RunOutcome(
-            name=name, halted=run.halted, stops=tuple(recorder.stops),
-            regs=tuple(backend.machine.regs[r] for r in COMPARE_REGS),
-            state=_final_state(spec, program, backend.machine.memory),
-            stats=run.stats.to_dict())
+            if backend_name is None:
+                machine = Machine(program, _interp_config(config, interp),
+                                  detailed_timing=False)
+                recorder = None
+            else:
+                backend, recorder = _debugged(
+                    backend_name, program, *_build_points(spec), config,
+                    interp)
+                machine = backend.machine
+            run = machine.run(dynamic_budget(spec))
+        return _outcome(name, run, machine,
+                        _final_state(spec, program, machine.memory),
+                        recorder)
     except Exception as exc:  # noqa: BLE001 - a crash IS the finding
         return RunOutcome(name=name, error=f"{type(exc).__name__}: {exc}")
+
+
+def _run_undebugged(spec: ProgramSpec, config: Optional[MachineConfig],
+                    interp: str = "table") -> RunOutcome:
+    return _run_backend(spec, None, config, interp)
 
 
 def _diff_stats(a: dict, b: dict) -> str:
@@ -368,11 +391,8 @@ def production_toggle_leg(spec: ProgramSpec,
         try:
             with applied_injection(spec.inject, "dise"):
                 program = build_program(spec)
-                watchpoints, breakpoints = _build_points(spec)
-                backend = backend_class("dise")(
-                    program, watchpoints, breakpoints,
-                    _interp_config(config, interp), detailed_timing=False)
-                recorder = StopRecorder(backend)
+                backend, recorder = _debugged(
+                    "dise", program, *_build_points(spec), config, interp)
                 controller = backend.machine.dise_controller
                 productions = controller.installed_productions
                 for production in productions:
@@ -381,11 +401,10 @@ def production_toggle_leg(spec: ProgramSpec,
                 for production in productions:
                     controller.activate(production)
                 run = backend.run(budget)
-            outcomes.append(RunOutcome(
-                name=name, halted=run.halted, stops=tuple(recorder.stops),
-                regs=tuple(backend.machine.regs[r] for r in COMPARE_REGS),
-                state=_final_state(spec, program, backend.machine.memory),
-                stats=run.stats.to_dict()))
+            outcomes.append(_outcome(
+                name, run, backend.machine,
+                _final_state(spec, program, backend.machine.memory),
+                recorder))
         except Exception as exc:  # noqa: BLE001 - a crash IS the finding
             outcomes.append(RunOutcome(name=name,
                                        error=f"{type(exc).__name__}: {exc}"))
@@ -419,41 +438,34 @@ def checkpoint_leg(spec: ProgramSpec, backend_name: str,
     budget = dynamic_budget(spec)
     half = max(budget // 2, 1)
 
-    def _outcome(name, backend, recorder, run) -> RunOutcome:
-        return RunOutcome(
-            name=name, halted=run.halted, stops=tuple(recorder.stops),
-            regs=tuple(backend.machine.regs[r] for r in COMPARE_REGS),
-            state=_final_state(spec, backend.program,
-                               backend.machine.memory),
-            stats=run.stats.to_dict(),
-            fingerprint=backend.state_fingerprint())
+    def launch():
+        return _debugged(backend_name, build_program(spec),
+                         *_build_points(spec), config, interp)
+
+    def outcome(leg, backend, recorder, run) -> RunOutcome:
+        return _outcome(
+            f"{backend_name}/{interp}/{leg}", run, backend.machine,
+            _final_state(spec, backend.program, backend.machine.memory),
+            recorder, fingerprint=backend.state_fingerprint())
 
     try:
         with applied_injection(spec.inject, backend_name):
-            watchpoints, breakpoints = _build_points(spec)
-            reference = backend_class(backend_name)(
-                build_program(spec), watchpoints, breakpoints,
-                _interp_config(config, interp), detailed_timing=False)
-            ref_recorder = StopRecorder(reference)
-            ref = _outcome(f"{backend_name}/{interp}/ckpt-ref", reference,
-                           ref_recorder, reference.run(budget))
+            reference, ref_recorder = launch()
+            ref = outcome("ckpt-ref", reference, ref_recorder,
+                          reference.run(budget))
 
-            watchpoints, breakpoints = _build_points(spec)
-            backend = backend_class(backend_name)(
-                build_program(spec), watchpoints, breakpoints,
-                _interp_config(config, interp), detailed_timing=False)
-            recorder = StopRecorder(backend)
+            backend, recorder = launch()
             backend.run(half)
             blob = backend.snapshot()
             saved_stops = list(recorder.stops)
             saved_shadow = dict(recorder._shadow)
-            finish = _outcome(f"{backend_name}/{interp}/ckpt-finish",
-                              backend, recorder, backend.run(budget))
+            finish = outcome("ckpt-finish", backend, recorder,
+                             backend.run(budget))
             backend.restore(blob)
             recorder.stops[:] = saved_stops
             recorder._shadow = dict(saved_shadow)
-            replay = _outcome(f"{backend_name}/{interp}/ckpt-replay",
-                              backend, recorder, backend.run(budget))
+            replay = outcome("ckpt-replay", backend, recorder,
+                             backend.run(budget))
     except Exception as exc:  # noqa: BLE001 - a crash IS the finding
         return [Divergence(
             "error", (f"{backend_name}/{interp}/ckpt",) * 2,
@@ -500,12 +512,10 @@ def interrupt_leg(spec: ProgramSpec, backend_name: str = "dise",
         try:
             with applied_injection(spec.inject, backend_name):
                 program = build_program(spec)
-                watchpoints, breakpoints = _build_points(spec)
-                backend = backend_class(backend_name)(
-                    program, watchpoints, breakpoints,
-                    _interp_config(config, interp), detailed_timing=False,
-                    processes=[build_program(spec)], quantum=quantum)
-                recorder = StopRecorder(backend)
+                backend, recorder = _debugged(
+                    backend_name, program, *_build_points(spec), config,
+                    interp, processes=[build_program(spec)],
+                    quantum=quantum)
                 run = backend.run(budget)
             kernel = backend.kernel
             target = kernel.process_state(1)
@@ -559,11 +569,8 @@ def timeline_leg(spec: ProgramSpec, backend_name: str,
     divergences: list[Divergence] = []
     try:
         with applied_injection(spec.inject, backend_name):
-            program = build_program(spec)
-            watchpoints, breakpoints = _build_points(spec)
-            backend = backend_class(backend_name)(
-                program, watchpoints, breakpoints,
-                _interp_config(config, interp), detailed_timing=False)
+            backend, _ = _debugged(backend_name, build_program(spec),
+                                   *_build_points(spec), config, interp)
             controller = ReverseController(backend, interval=interval)
             truth = StoreLogRecorder(backend.machine)
             backend.machine.store_observer = truth
@@ -621,6 +628,83 @@ def timeline_leg(spec: ProgramSpec, backend_name: str,
     return divergences
 
 
+#: ``run(backend_name, interp)``: one cell of the matrix (``backend_name``
+#: is None for an undebugged run); ``check(backend_name, outcome)``.
+CellRunner = Callable[[Optional[str], str], RunOutcome]
+OutcomeCheck = Callable[[Optional[str], RunOutcome], None]
+
+
+def run_matrix(report, run: CellRunner,
+               backends: Sequence[str] = BACKENDS,
+               interpreters: Sequence[str] = INTERPRETERS, *,
+               compare_stops: bool = True, must_halt: bool = True,
+               check: Optional[OutcomeCheck] = None) -> bool:
+    """Run the tier x backend matrix; append its divergences to ``report``
+    (an :class:`OracleReport` or anything with ``divergences`` and
+    ``stop_count``).
+
+    ``run(backend_name, interp)`` performs one cell (``backend_name`` is
+    None for the undebugged runs); the first of ``interpreters`` is the
+    reference tier.  The matrix checks that
+
+    * interpreter choice is invisible: every other tier matches the
+      reference tier in final state and full SimStats, undebugged and
+      under each backend (and in stops, when ``compare_stops``);
+    * debugging does not perturb the application: each backend's
+      reference-tier run reproduces the undebugged final state;
+    * every backend presents the first backend's stop sequence (when
+      ``compare_stops``), whose length becomes ``report.stop_count``.
+
+    A crash is a divergence, and so is a run that does not halt when
+    ``must_halt``.  ``check(backend_name, outcome)`` sees the undebugged
+    outcome and each backend's reference-tier outcome as it completes;
+    only the outcomes still to be compared are kept.  Returns False when
+    the undebugged reference failed, which ends the matrix after one run.
+    """
+    reference_tier, *other_tiers = interpreters
+    base = run(None, reference_tier)
+    if base.error:
+        report.divergences.append(Divergence(
+            "error", (base.name, base.name), base.error))
+        return False
+    if must_halt and not base.halted:
+        report.divergences.append(Divergence(
+            "termination", (base.name, base.name),
+            "undebugged run did not halt within budget"))
+        return False
+    if check is not None:
+        check(None, base)
+    for interp in other_tiers:
+        _compare(report, base, run(None, interp), stats=True, stops=False)
+
+    first: Optional[RunOutcome] = None
+    for backend_name in backends:
+        outcome = run(backend_name, reference_tier)
+        # Interpreter choice must be invisible per backend.
+        for interp in other_tiers:
+            _compare(report, outcome, run(backend_name, interp),
+                     stats=True, stops=compare_stops)
+        if outcome.error:
+            report.divergences.append(Divergence(
+                "error", (outcome.name, outcome.name), outcome.error))
+            continue
+        if must_halt and not outcome.halted:
+            report.divergences.append(Divergence(
+                "termination", (outcome.name, outcome.name),
+                "debugged run did not halt within budget"))
+        if check is not None:
+            check(backend_name, outcome)
+        # Debugging must not perturb the application's final state.
+        _compare(report, base, outcome, stats=False, stops=False)
+        # All backends must present the same user-visible stop sequence.
+        if first is None:
+            first = outcome
+            report.stop_count = len(outcome.stops)
+        else:
+            _compare(report, first, outcome, stats=False, stops=compare_stops)
+    return True
+
+
 def run_differential(spec: ProgramSpec,
                      config: Optional[MachineConfig] = None,
                      backends: tuple[str, ...] = BACKENDS,
@@ -641,50 +725,19 @@ def run_differential(spec: ProgramSpec,
     """
     report = OracleReport(seed=spec.seed)
 
-    base_table = _run_undebugged(spec, config, "table")
-    if base_table.error:
-        report.divergences.append(Divergence(
-            "error", (base_table.name, base_table.name), base_table.error))
-        return report
-    if not base_table.halted:
-        report.divergences.append(Divergence(
-            "termination", (base_table.name, base_table.name),
-            "undebugged run did not halt within budget (generator bug)"))
-        return report
-    for interp in INTERPRETERS[1:]:
-        _compare(report, base_table,
-                 _run_undebugged(spec, config, interp),
-                 stats=True, stops=False)
+    def run(backend_name: Optional[str], interp: str) -> RunOutcome:
+        return _run_backend(spec, backend_name, config, interp)
 
-    reference: Optional[RunOutcome] = None
-    for backend_name in backends:
-        table = _run_backend(spec, backend_name, config, "table")
-        # Interpreter choice must be invisible per backend.
-        for interp in INTERPRETERS[1:]:
-            _compare(report, table,
-                     _run_backend(spec, backend_name, config, interp),
-                     stats=True, stops=True)
-        if table.error:
-            report.divergences.append(Divergence(
-                "error", (table.name, table.name), table.error))
-            continue
-        if not table.halted:
-            report.divergences.append(Divergence(
-                "termination", (table.name, table.name),
-                "debugged run did not halt within budget"))
-        # Debugging must not perturb the application's final state.
-        _compare(report, base_table, table, stats=False, stops=False)
-        # All backends must present the same user-visible stop sequence.
-        if reference is None:
-            reference = table
-            report.stop_count = len(table.stops)
-        else:
-            _compare(report, reference, table, stats=False, stops=True)
-        if table.stats is not None:
-            transitions = table.stats.get("transitions", {})
+    def count_spurious(backend_name: Optional[str],
+                       outcome: RunOutcome) -> None:
+        if backend_name is not None:
+            transitions = outcome.stats.get("transitions", {})
             report.spurious[backend_name] = sum(
                 count for key, count in transitions.items()
                 if key.startswith("spurious"))
+
+    if not run_matrix(report, run, backends, check=count_spurious):
+        return report
     if "dise" in backends:
         report.divergences.extend(production_toggle_leg(spec, config))
     if checkpoint_backend is not None:

@@ -1,21 +1,29 @@
-"""Persistent on-disk experiment result cache.
+"""Persistent on-disk record stores: results, query answers, checkpoints.
 
-Results live as one JSON file per cell under ``.repro_cache/``
+Everything the harness persists goes through one :class:`RecordStore`:
+a directory of records, one file per key, under ``.repro_cache/``
 (configurable via ``REPRO_CACHE_DIR``; disable with ``REPRO_CACHE=0``).
-Each file is keyed by a content hash of the cell's identity —
-benchmark, backend, scenario (watchpoint kind, conditional flag,
-expressions, backend options, machine config), the
-:class:`~repro.harness.experiment.ExperimentSettings`, and the current
-*code version* (a content hash of every ``repro`` source file).  A
-re-run after an interrupt or a config tweak therefore recomputes only
-the invalidated cells; editing the simulator invalidates everything.
+A key is a content hash of a JSON identity payload plus the current
+*code version* (a content hash of every ``repro`` source file), so a
+re-run after an interrupt or a config tweak recomputes only what was
+invalidated, and editing the simulator invalidates everything.  Every
+record carries the same envelope — ``format``, ``code_version``, the
+``key`` payload, and the ``result`` — and is written to a temporary
+file and renamed into place, so a crash leaves the old record or none.
 
-The wire format is :meth:`repro.results.RunResult.to_dict` wrapped in a
-small envelope that echoes the key payload and the code version.  A
-stored record whose code version does not match the current tree is
-treated as a *miss*, never an error — as is any unreadable or
-truncated file — so a stale or hand-edited cache can only cost time,
-not correctness.
+Three kinds of record share the store and differ only in where they
+live and how the ``result`` is encoded:
+
+* :class:`ResultCache` — experiment cells, ``RunResult`` as JSON;
+* :class:`TimelineQueryCache` — time-travel answers under
+  ``timeline/``, ``QueryResult`` as JSON;
+* :class:`WarmCheckpointCache` — post-warm-up machine checkpoints under
+  ``checkpoints/``, pickled.
+
+A record that cannot be read or decoded — truncated, corrupt,
+hand-edited, or written by another format or code version — is a
+*miss*, never an error, so a bad cache can only cost time, not
+correctness.
 """
 
 from __future__ import annotations
@@ -53,25 +61,29 @@ def code_version() -> str:
     return _CODE_VERSION
 
 
-def default_cache() -> "ResultCache":
-    """The environment-configured cache (possibly disabled)."""
-    return ResultCache(default_cache_dir(), enabled=cache_enabled())
+class RecordStore:
+    """A directory of keyed, code-versioned records, one file per key.
 
+    Subclasses choose the subdirectory, the file suffix, and the codec:
+    :meth:`_encode`/:meth:`_decode` convert a value to and from the
+    record's ``result`` field, :meth:`_dumps`/:meth:`_loads` a whole
+    record to and from bytes (JSON here).
+    """
 
-class ResultCache:
-    """A directory of content-addressed :class:`RunResult` records."""
+    subdir = ""
+    suffix = ".json"
 
     def __init__(self, directory: Optional[os.PathLike] = None, *,
                  enabled: bool = True):
-        self.directory = Path(directory) if directory else \
-            Path(default_cache_dir())
+        base = Path(directory) if directory else Path(default_cache_dir())
+        self.directory = base / self.subdir
         self.enabled = enabled
         self.hits = 0
         self.misses = 0
         self.stores = 0
 
     def key_for(self, payload: dict) -> str:
-        """Content hash of a cell-identity payload (plus code version)."""
+        """Content hash of an identity payload (plus code version)."""
         canonical = json.dumps(payload, sort_keys=True, default=repr)
         digest = hashlib.sha256()
         digest.update(code_version().encode())
@@ -81,51 +93,44 @@ class ResultCache:
 
     def path_for(self, key: str) -> Path:
         """Filesystem location of a key's record."""
-        return self.directory / f"{key}.json"
+        return self.directory / f"{key}{self.suffix}"
 
-    def load(self, key: str) -> Optional[RunResult]:
-        """The stored result for ``key``, or ``None`` on any miss.
+    def load(self, key: str):
+        """The stored value for ``key``, or ``None`` on any miss.
 
-        Corrupt files and records written by a different code version
-        are misses, not errors.
+        Every record that does not decode to a value of this store's
+        current format and code version is a miss, counted as one.
         """
         if not self.enabled:
             return None
         try:
-            record = json.loads(self.path_for(key).read_text())
-        except (OSError, ValueError):
+            record = self._loads(self.path_for(key).read_bytes())
+            current = (record["format"] == CACHE_FORMAT
+                       and record["code_version"] == code_version())
+            value = self._decode(record["result"]) if current else None
+        except Exception:  # noqa: BLE001 - an undecodable record is a miss
+            value = None
+        if value is None:
             self.misses += 1
-            return None
-        if (not isinstance(record, dict)
-                or record.get("format") != CACHE_FORMAT
-                or record.get("code_version") != code_version()):
-            self.misses += 1
-            return None
-        try:
-            result = RunResult.from_dict(record["result"])
-        except (KeyError, TypeError, ValueError):
-            self.misses += 1
-            return None
-        result.from_cache = True
-        self.hits += 1
-        return result
+        else:
+            self.hits += 1
+        return value
 
-    def store(self, key: str, result: RunResult,
-              payload: Optional[dict] = None) -> None:
-        """Persist ``result`` under ``key`` (atomic write-and-rename)."""
+    def store(self, key: str, value, payload: Optional[dict] = None) -> None:
+        """Persist ``value`` under ``key`` (atomic write-and-rename)."""
         if not self.enabled:
             return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        record = {
+        data = self._dumps({
             "format": CACHE_FORMAT,
             "code_version": code_version(),
             "key": payload,
-            "result": result.to_dict(),
-        }
+            "result": self._encode(value),
+        })
+        self.directory.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(record, handle, sort_keys=True, default=repr)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
             os.replace(tmp, self.path_for(key))
         except BaseException:
             try:
@@ -139,7 +144,7 @@ class ResultCache:
         """Delete every stored record; returns how many were removed."""
         removed = 0
         if self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
+            for path in self.directory.glob(f"*{self.suffix}"):
                 try:
                     path.unlink()
                     removed += 1
@@ -150,7 +155,39 @@ class ResultCache:
     def __len__(self) -> int:
         if not self.directory.is_dir():
             return 0
-        return sum(1 for _ in self.directory.glob("*.json"))
+        return sum(1 for _ in self.directory.glob(f"*{self.suffix}"))
+
+    # -- codec -------------------------------------------------------------
+
+    def _encode(self, value):
+        return value.to_dict()
+
+    def _decode(self, result):
+        raise NotImplementedError
+
+    def _dumps(self, record: dict) -> bytes:
+        return json.dumps(record, sort_keys=True, default=repr).encode()
+
+    def _loads(self, data: bytes) -> dict:
+        return json.loads(data)
+
+
+def default_cache() -> "ResultCache":
+    """The environment-configured cache (possibly disabled)."""
+    return ResultCache(default_cache_dir(), enabled=cache_enabled())
+
+
+class ResultCache(RecordStore):
+    """Experiment cells: :class:`RunResult` records as JSON, keyed by
+    the cell's identity — benchmark, backend, scenario (watchpoint
+    kind, conditional flag, expressions, backend options, machine
+    config) and the
+    :class:`~repro.harness.experiment.ExperimentSettings`."""
+
+    def _decode(self, result) -> RunResult:
+        run = RunResult.from_dict(result)
+        run.from_cache = True
+        return run
 
 
 def default_timeline_cache() -> "TimelineQueryCache":
@@ -158,107 +195,24 @@ def default_timeline_cache() -> "TimelineQueryCache":
     return TimelineQueryCache(default_cache_dir(), enabled=cache_enabled())
 
 
-class TimelineQueryCache:
+class TimelineQueryCache(RecordStore):
     """Persisted time-travel query answers.
 
     Records live as JSON under ``<cache_dir>/timeline/``, keyed by a
     content hash of the query identity — program content digest,
     backend, machine config, debug plan, the recorded-history extent
-    (genesis/position/stop count), the query verb and its arguments —
-    plus the code version.  Deterministic replay makes a hit exact: the
-    same history extent under the same code can only re-derive the same
-    answer, fingerprint included.  As with :class:`ResultCache`, any
-    unreadable, truncated, or version-mismatched record is a miss,
-    never an error.
+    (genesis/position/stop count), the query verb and its arguments.
+    Deterministic replay makes a hit exact: the same history extent
+    under the same code can only re-derive the same answer, fingerprint
+    included.
     """
 
-    def __init__(self, directory: Optional[os.PathLike] = None, *,
-                 enabled: bool = True):
-        base = Path(directory) if directory else Path(default_cache_dir())
-        self.directory = base / "timeline"
-        self.enabled = enabled
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
+    subdir = "timeline"
 
-    def key_for(self, payload: dict) -> str:
-        """Content hash of a query-identity payload (plus code version)."""
-        canonical = json.dumps(payload, sort_keys=True, default=repr)
-        digest = hashlib.sha256()
-        digest.update(code_version().encode())
-        digest.update(b"\0")
-        digest.update(canonical.encode())
-        return digest.hexdigest()[:32]
-
-    def path_for(self, key: str) -> Path:
-        """Filesystem location of a key's record."""
-        return self.directory / f"{key}.json"
-
-    def load(self, key: str):
-        """The stored :class:`~repro.timetravel.QueryResult` for
-        ``key``, or ``None`` on any miss."""
+    def _decode(self, result):
         from repro.timetravel.engine import QueryResult
 
-        if not self.enabled:
-            return None
-        try:
-            record = json.loads(self.path_for(key).read_text())
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if (not isinstance(record, dict)
-                or record.get("format") != CACHE_FORMAT
-                or record.get("code_version") != code_version()):
-            self.misses += 1
-            return None
-        try:
-            result = QueryResult.from_dict(record["result"])
-        except (KeyError, TypeError, ValueError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
-
-    def store(self, key: str, result, payload: Optional[dict] = None) -> None:
-        """Persist a query result under ``key`` (atomic write-and-rename)."""
-        if not self.enabled:
-            return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        record = {
-            "format": CACHE_FORMAT,
-            "code_version": code_version(),
-            "key": payload,
-            "result": result.to_dict(),
-        }
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(record, handle, sort_keys=True, default=repr)
-            os.replace(tmp, self.path_for(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self.stores += 1
-
-    def clear(self) -> int:
-        """Delete every stored record; returns how many were removed."""
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    def __len__(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("*.json"))
+        return QueryResult.from_dict(result)
 
 
 def default_warm_cache() -> "WarmCheckpointCache":
@@ -266,93 +220,32 @@ def default_warm_cache() -> "WarmCheckpointCache":
     return WarmCheckpointCache(default_cache_dir(), enabled=cache_enabled())
 
 
-class WarmCheckpointCache:
+class WarmCheckpointCache(RecordStore):
     """Persisted post-warm-up machine checkpoints.
 
     Blobs live as pickles under ``<cache_dir>/checkpoints/``, keyed by
     a content hash of the *shared prefix identity* — benchmark, machine
-    config, warm-up instruction count, timing fidelity — plus the code
-    version.  Every experiment cell that differs only in its debug plan
-    (backend, watchpoints, options) shares one prefix blob and resumes
-    from it instead of re-simulating the warm-up interval.
+    config, warm-up instruction count, timing fidelity.  Every
+    experiment cell that differs only in its debug plan (backend,
+    watchpoints, options) shares one prefix blob and resumes from it
+    instead of re-simulating the warm-up interval.
 
     Only checkpoints of *undebugged* machines are stored here: those
     blobs are plain data (no live productions or handler closures) and
-    pickle cleanly.  As with :class:`ResultCache`, any unreadable,
-    truncated, or version-mismatched file is a miss, never an error.
+    pickle cleanly.
     """
 
-    def __init__(self, directory: Optional[os.PathLike] = None, *,
-                 enabled: bool = True):
-        base = Path(directory) if directory else Path(default_cache_dir())
-        self.directory = base / "checkpoints"
-        self.enabled = enabled
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
+    subdir = "checkpoints"
+    suffix = ".pkl"
 
-    def key_for(self, payload: dict) -> str:
-        """Content hash of a prefix-identity payload (plus code version)."""
-        canonical = json.dumps(payload, sort_keys=True, default=repr)
-        digest = hashlib.sha256()
-        digest.update(code_version().encode())
-        digest.update(b"\0")
-        digest.update(canonical.encode())
-        return digest.hexdigest()[:32]
+    def _encode(self, blob):
+        return blob
 
-    def path_for(self, key: str) -> Path:
-        """Filesystem location of a key's pickled checkpoint."""
-        return self.directory / f"{key}.pkl"
+    def _decode(self, blob):
+        return blob
 
-    def load(self, key: str) -> Optional[object]:
-        """The stored checkpoint blob for ``key``, or ``None`` on miss."""
-        if not self.enabled:
-            return None
-        try:
-            payload = self.path_for(key).read_bytes()
-            record = pickle.loads(payload)
-        except Exception:  # noqa: BLE001 - any corruption is a miss
-            self.misses += 1
-            return None
-        if (not isinstance(record, dict)
-                or record.get("code_version") != code_version()):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return record.get("blob")
+    def _dumps(self, record: dict) -> bytes:
+        return pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
 
-    def store(self, key: str, blob: object) -> None:
-        """Persist ``blob`` under ``key`` (atomic write-and-rename)."""
-        if not self.enabled:
-            return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        record = {"code_version": code_version(), "blob": blob}
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(record, handle, pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, self.path_for(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self.stores += 1
-
-    def clear(self) -> int:
-        """Delete every stored checkpoint; returns how many were removed."""
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.pkl"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    def __len__(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("*.pkl"))
+    def _loads(self, data: bytes) -> dict:
+        return pickle.loads(data)

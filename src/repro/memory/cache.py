@@ -29,7 +29,11 @@ class AccessLevel(IntEnum):
 
 
 class SetAssociativeCache:
-    """A tag-only set-associative cache with LRU replacement."""
+    """A tag-only set-associative cache with LRU replacement.
+
+    A tag is the address shifted right by the block size: a cache line
+    here, a page in the :class:`~repro.memory.tlb.Tlb` subclass.
+    """
 
     __slots__ = ("name", "config", "_sets", "_set_mask", "_line_shift",
                  "hits", "misses")
@@ -43,9 +47,14 @@ class SetAssociativeCache:
                 f"{name}: number of sets {num_sets} is not a power of two")
         self._sets: list[list[int]] = [[] for _ in range(num_sets)]
         self._set_mask = num_sets - 1
-        self._line_shift = config.line_bytes.bit_length() - 1
+        self._line_shift = self._block_bytes(config).bit_length() - 1
         self.hits = 0
         self.misses = 0
+
+    @staticmethod
+    def _block_bytes(config: CacheConfig) -> int:
+        """Bytes covered by one tag."""
+        return config.line_bytes
 
     def line_of(self, address: int) -> int:
         """Line number containing ``address``."""

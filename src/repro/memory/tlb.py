@@ -10,57 +10,21 @@ faithful to the paper's user-level SimpleScalar setup.
 from __future__ import annotations
 
 from repro.config import TlbConfig
+from repro.memory.cache import SetAssociativeCache
 
 
-class Tlb:
-    """A set-associative TLB with LRU replacement."""
+class Tlb(SetAssociativeCache):
+    """A set-associative TLB with LRU replacement: the cache's tag
+    array over page numbers."""
 
-    __slots__ = ("name", "config", "_sets", "_set_mask", "_page_shift",
-                 "hits", "misses")
+    __slots__ = ()
 
     def __init__(self, config: TlbConfig, name: str = "tlb"):
-        self.name = name
-        self.config = config
-        num_sets = config.num_sets
-        if num_sets & (num_sets - 1):
-            raise ValueError(
-                f"{name}: number of sets {num_sets} is not a power of two")
-        self._sets: list[list[int]] = [[] for _ in range(num_sets)]
-        self._set_mask = num_sets - 1
-        self._page_shift = config.page_bytes.bit_length() - 1
-        self.hits = 0
-        self.misses = 0
+        super().__init__(config, name)
 
-    def access(self, address: int) -> bool:
-        """Probe for the page of ``address``; fill on miss.  True on hit."""
-        page = address >> self._page_shift
-        ways = self._sets[page & self._set_mask]
-        if ways and ways[0] == page:
-            self.hits += 1
-            return True
-        try:
-            ways.remove(page)
-        except ValueError:
-            self.misses += 1
-            ways.insert(0, page)
-            if len(ways) > self.config.associativity:
-                ways.pop()
-            return False
-        self.hits += 1
-        ways.insert(0, page)
-        return True
-
-    def reset(self) -> None:
-        """Empty the TLB and zero the counters."""
-        for ways in self._sets:
-            ways.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def reset_counters(self) -> None:
-        """Zero hit/miss counters without disturbing TLB contents."""
-        self.hits = 0
-        self.misses = 0
+    @staticmethod
+    def _block_bytes(config: TlbConfig) -> int:
+        return config.page_bytes
 
     def flush(self) -> None:
         """Drop all translations, keeping the counters.
@@ -70,21 +34,3 @@ class Tlb:
         """
         for ways in self._sets:
             ways.clear()
-
-    def snapshot(self) -> tuple:
-        """Capture TLB contents and counters."""
-        return ([list(ways) for ways in self._sets], self.hits, self.misses)
-
-    def restore(self, blob: tuple) -> None:
-        """Reset the TLB to a previous :meth:`snapshot`."""
-        sets, self.hits, self.misses = blob
-        self._sets = [list(ways) for ways in sets]
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        total = self.accesses
-        return self.misses / total if total else 0.0

@@ -22,10 +22,14 @@ sparsely, so the single-step backend legitimately stops at coarser
 points than the trap-per-store mechanisms.  Benchmark entries instead
 run to a bounded budget and must agree on final state.
 
-The comparison machinery (canonical :class:`~repro.fuzz.oracle.Stop`
-records, recorder-shadowed watched values, register/state/stats
-diffing) is shared with the differential fuzz oracle — same rules, a
-different program source.
+The matrix is the differential fuzz oracle's own
+:func:`~repro.fuzz.oracle.run_matrix`, comparison machinery included
+(canonical :class:`~repro.fuzz.oracle.Stop` records, recorder-shadowed
+watched values, register/state/stats diffing): same matrix, same rules,
+a different program source.  :func:`check_entry` supplies the cells —
+each builds the entry and runs it undebugged or watching the entry's
+default target — and the self-check, applied to the undebugged run and
+to each backend's reference-tier run as it completes.
 """
 
 from __future__ import annotations
@@ -35,17 +39,14 @@ from typing import Optional, Sequence, Union
 
 from repro.config import MachineConfig
 from repro.cpu.machine import Machine
-from repro.debugger.backends import backend_class
 from repro.debugger.watchpoint import Watchpoint
-# Shared with the fuzz oracle by design: conformance applies the exact
-# comparison rules of the differential matrix to corpus workloads.
-from repro.fuzz.oracle import (BACKENDS, COMPARE_REGS, INTERPRETERS,
-                               Divergence, RunOutcome, StopRecorder,
-                               _compare, _interp_config)
+# Shared with the fuzz oracle by design: conformance runs the
+# differential matrix itself, with its exact rules, on corpus workloads.
+from repro.fuzz.oracle import (BACKENDS, INTERPRETERS, QUAD, Divergence,
+                               RunOutcome, _debugged, _interp_config,
+                               _outcome, run_matrix)
 from repro.isa.program import Program
 from repro.workloads.corpus import Corpus, CorpusEntry, entry_for
-
-QUAD = 8
 
 
 @dataclass
@@ -96,56 +97,30 @@ def _named_state(program: Program, symbols: Sequence[str],
     return tuple(out)
 
 
-def _run_undebugged(entry: CorpusEntry, symbols: Sequence[str], interp: str,
-                    config: Optional[MachineConfig]) -> RunOutcome:
-    name = f"undebugged/{interp}"
+def _run(entry: CorpusEntry, symbols: Sequence[str],
+         backend_name: Optional[str], interp: str,
+         config: Optional[MachineConfig]) -> RunOutcome:
+    """One cell of the matrix: ``entry`` on tier ``interp``, undebugged
+    when ``backend_name`` is None, else watching the entry's default
+    target under that backend."""
+    name = f"{backend_name or 'undebugged'}/{interp}"
     try:
         program = entry.build()
-        machine = Machine(program, _interp_config(config, interp),
-                          detailed_timing=False)
+        if backend_name is None:
+            machine = Machine(program, _interp_config(config, interp),
+                              detailed_timing=False)
+            recorder = None
+        else:
+            watchpoints = [Watchpoint.parse(entry.watch, None, 1)]
+            backend, recorder = _debugged(backend_name, program, watchpoints,
+                                          [], config, interp)
+            machine = backend.machine
         run = machine.run(entry.run_budget())
-        return RunOutcome(
-            name=name, halted=run.halted,
-            regs=tuple(machine.regs[r] for r in COMPARE_REGS),
-            state=_named_state(program, symbols, machine.memory),
-            stats=run.stats.to_dict())
+        return _outcome(name, run, machine,
+                        _named_state(program, symbols, machine.memory),
+                        recorder)
     except Exception as exc:  # noqa: BLE001 - a crash IS the finding
         return RunOutcome(name=name, error=f"{type(exc).__name__}: {exc}")
-
-
-def _run_debugged(entry: CorpusEntry, symbols: Sequence[str],
-                  backend_name: str, interp: str,
-                  config: Optional[MachineConfig]) -> RunOutcome:
-    name = f"{backend_name}/{interp}"
-    try:
-        program = entry.build()
-        watchpoints = [Watchpoint.parse(entry.watch, None, 1)]
-        backend = backend_class(backend_name)(
-            program, watchpoints, [], _interp_config(config, interp),
-            detailed_timing=False)
-        recorder = StopRecorder(backend)
-        run = backend.run(entry.run_budget())
-        return RunOutcome(
-            name=name, halted=run.halted, stops=tuple(recorder.stops),
-            regs=tuple(backend.machine.regs[r] for r in COMPARE_REGS),
-            state=_named_state(program, symbols, backend.machine.memory),
-            stats=run.stats.to_dict())
-    except Exception as exc:  # noqa: BLE001 - a crash IS the finding
-        return RunOutcome(name=name, error=f"{type(exc).__name__}: {exc}")
-
-
-def _check_self(report: ConformanceReport, entry: CorpusEntry,
-                outcome: RunOutcome) -> None:
-    """A self-checking workload must have verified its own checksum."""
-    if not entry.self_checking or outcome.error or not outcome.halted:
-        return
-    state = dict(outcome.state)
-    if state.get("status") != 1:
-        report.divergences.append(Divergence(
-            "state", (outcome.name, outcome.name),
-            f"self-check failed: status={state.get('status')!r}, "
-            f"checksum={state.get('checksum', 0):#x} != "
-            f"expect={state.get('expect', 0):#x}"))
 
 
 def check_entry(entry: Union[CorpusEntry, str], *,
@@ -161,55 +136,25 @@ def check_entry(entry: Union[CorpusEntry, str], *,
         entry = entry_for(entry)
     report = ConformanceReport(workload=entry.name)
     symbols = _data_symbols(entry.build())
-    compare_stops = entry.source != "benchmark"
-    interpreters = tuple(interpreters)
 
-    reference = _run_undebugged(entry, symbols, interpreters[0], config)
-    report.runs += 1
-    if reference.error:
-        report.divergences.append(Divergence(
-            "error", (reference.name, reference.name), reference.error))
-        return report
-    if entry.budget > 0 and not reference.halted:
-        report.divergences.append(Divergence(
-            "termination", (reference.name, reference.name),
-            "undebugged run did not halt within the entry budget"))
-        return report
-    _check_self(report, entry, reference)
-    for interp in interpreters[1:]:
-        other = _run_undebugged(entry, symbols, interp, config)
+    def run(backend_name: Optional[str], interp: str) -> RunOutcome:
         report.runs += 1
-        _compare(report, reference, other, stats=True, stops=False)
+        return _run(entry, symbols, backend_name, interp, config)
 
-    debugged_reference: Optional[RunOutcome] = None
-    for backend_name in backends:
-        table = _run_debugged(entry, symbols, backend_name, interpreters[0],
-                              config)
-        report.runs += 1
-        # Interpreter choice must be invisible per backend.
-        for interp in interpreters[1:]:
-            other = _run_debugged(entry, symbols, backend_name, interp,
-                                  config)
-            report.runs += 1
-            _compare(report, table, other, stats=True, stops=compare_stops)
-        if table.error:
+    def check_self(backend_name: Optional[str], outcome: RunOutcome) -> None:
+        """A self-checking workload must have verified its own checksum."""
+        state = dict(outcome.state)
+        if outcome.halted and state.get("status") != 1:
             report.divergences.append(Divergence(
-                "error", (table.name, table.name), table.error))
-            continue
-        if entry.budget > 0 and not table.halted:
-            report.divergences.append(Divergence(
-                "termination", (table.name, table.name),
-                "debugged run did not halt within the entry budget"))
-        _check_self(report, entry, table)
-        # Debugging must not perturb the application's final state.
-        _compare(report, reference, table, stats=False, stops=False)
-        # All backends must present the same user-visible stop sequence.
-        if debugged_reference is None:
-            debugged_reference = table
-            report.stop_count = len(table.stops)
-        else:
-            _compare(report, debugged_reference, table, stats=False,
-                     stops=compare_stops)
+                "state", (outcome.name, outcome.name),
+                f"self-check failed: status={state.get('status')!r}, "
+                f"checksum={state.get('checksum', 0):#x} != "
+                f"expect={state.get('expect', 0):#x}"))
+
+    run_matrix(report, run, backends, interpreters,
+               compare_stops=entry.source != "benchmark",
+               must_halt=entry.budget > 0,
+               check=check_self if entry.self_checking else None)
     return report
 
 

@@ -4,8 +4,9 @@ import pytest
 
 from repro.fuzz.generator import (Block, BodyOp, DebugPoint, ProgramSpec,
                                   generate_spec)
-from repro.fuzz.oracle import (BACKENDS, Stop, _run_backend, interrupt_leg,
-                               run_differential)
+from repro.fuzz.oracle import (BACKENDS, COMPARE_REGS, OracleReport,
+                               RunOutcome, Stop, _run_backend, interrupt_leg,
+                               run_differential, run_matrix)
 
 
 def manual_spec(points, ops=None, iterations=2, epilogue=False):
@@ -101,6 +102,88 @@ def test_interrupt_leg_is_clean_under_dise():
 def test_interrupt_leg_folds_into_the_report():
     report = run_differential(generate_spec(2), interrupt_backend="hardware")
     assert report.ok, report.divergences[0].describe()
+
+
+# -- the shared tier x backend matrix, driven with canned outcomes ---------
+
+
+class CannedMatrix:
+    """A fake ``run`` for :func:`run_matrix` that records each cell it
+    runs.  Every cell halts with the same state and stats and no stops;
+    ``common`` overrides those fields in every cell, and ``cells`` maps
+    ``"backend/tier"`` (``"undebugged/tier"``) to one cell's fields."""
+
+    def __init__(self, cells=None, **common):
+        self.fields = {"halted": True, "regs": (0,) * len(COMPARE_REGS),
+                       "state": (("v0", 20),), "stats": {"cycles": 100},
+                       **common}
+        self.cells = cells or {}
+        self.ran = []
+
+    def __call__(self, backend_name, interp):
+        name = f"{backend_name or 'undebugged'}/{interp}"
+        self.ran.append(name)
+        return RunOutcome(name=name,
+                          **{**self.fields, **self.cells.get(name, {})})
+
+
+def _divergences(report):
+    return [(d.kind, d.runs) for d in report.divergences]
+
+
+def test_matrix_reports_a_tier_whose_stats_differ():
+    run = CannedMatrix({"dise/compiled": {"stats": {"cycles": 101}}})
+    report = OracleReport(seed=0)
+    assert run_matrix(report, run, ("hardware", "dise"))
+    assert _divergences(report) == [
+        ("stats", ("dise/table", "dise/compiled"))]
+    assert len(run.ran) == 3 * 3
+
+
+@pytest.mark.parametrize("compare_stops", [True, False])
+def test_matrix_compares_backend_stops_only_when_asked(compare_stops):
+    stops = {"stops": (Stop((), (("v0", 20),)),)}
+    run = CannedMatrix({f"dise/{interp}": stops
+                        for interp in ("table", "legacy", "compiled")})
+    report = OracleReport(seed=0)
+    run_matrix(report, run, ("hardware", "dise"),
+               compare_stops=compare_stops)
+    expected = [("stops", ("hardware/table", "dise/table"))]
+    assert _divergences(report) == (expected if compare_stops else [])
+    assert report.stop_count == 0  # the first backend's stops
+
+
+@pytest.mark.parametrize("failure", [{"error": "SimulationError: boom"},
+                                     {"halted": False}])
+def test_failed_undebugged_reference_stops_the_matrix(failure):
+    run = CannedMatrix({"undebugged/table": failure})
+    report = OracleReport(seed=0)
+    assert not run_matrix(report, run, BACKENDS)
+    assert run.ran == ["undebugged/table"]
+    assert [d.kind for d in report.divergences] == [
+        "error" if "error" in failure else "termination"]
+
+
+def test_matrix_runs_on_past_budgets_when_halting_is_not_required():
+    run = CannedMatrix(halted=False)
+    report = OracleReport(seed=0)
+    assert run_matrix(report, run, BACKENDS, must_halt=False)
+    assert report.ok
+    assert len(run.ran) == 3 * (1 + len(BACKENDS))
+
+
+def test_matrix_check_sees_each_reference_tier_outcome():
+    run = CannedMatrix({"hardware/table": {"error": "KeyError: 'x'"}})
+    seen = []
+    report = OracleReport(seed=0)
+    run_matrix(report, run, ("hardware", "dise", "single_step"),
+               check=lambda backend, outcome: seen.append(
+                   (backend, outcome.name)))
+    # A crashed backend is reported, not checked.
+    assert seen == [(None, "undebugged/table"), ("dise", "dise/table"),
+                    ("single_step", "single_step/table")]
+    assert ("error", ("hardware/table", "hardware/table")) in \
+        _divergences(report)
 
 
 @pytest.mark.slow

@@ -1,14 +1,20 @@
-"""The persistent on-disk result cache."""
+"""The persistent on-disk record stores: one set of store tests over
+all three record kinds (results, timeline answers, checkpoints)."""
 
+import errno
 import json
+import os
+import pickle
 
 import pytest
 
 from repro.harness.cache import (CACHE_FORMAT, ResultCache,
-                                 WarmCheckpointCache, code_version)
+                                 TimelineQueryCache, WarmCheckpointCache,
+                                 code_version)
 from repro.harness.experiment import (_BASELINE_CACHE, clear_baseline_cache,
                                       run_baseline)
 from repro.results import RunResult
+from repro.timetravel.engine import QueryResult
 
 
 @pytest.fixture
@@ -39,50 +45,109 @@ def test_distinct_payloads_distinct_keys(cache):
     assert cache.load(key2) is None
 
 
-def test_code_version_mismatch_is_miss_not_error(cache):
-    key = cache.key_for({"cell": 1})
-    cache.store(key, make_result())
-    record = json.loads(cache.path_for(key).read_text())
-    record["code_version"] = "0" * 16
-    cache.path_for(key).write_text(json.dumps(record))
-    assert cache.load(key) is None
+class _Unencodable:
+    """A value no store can encode: serialising it fails."""
+
+    def to_dict(self):
+        raise RuntimeError("boom")
+
+    def __reduce__(self):
+        raise RuntimeError("boom")
 
 
-def test_corrupt_record_is_miss_not_error(cache):
-    key = cache.key_for({"cell": 2})
-    cache.store(key, make_result())
-    cache.path_for(key).write_text("{not json")
-    assert cache.load(key) is None
-    cache.path_for(key).write_text(json.dumps({"format": CACHE_FORMAT}))
-    assert cache.load(key) is None
+def make_query() -> QueryResult:
+    return QueryResult("last-write", "hot", True, app_instructions=40,
+                       pc=0x1000, address=0x2000, size=8, value=20,
+                       old_value=5, state_fingerprint="f" * 16)
 
 
-def test_truncated_record_is_miss_not_error(cache):
+#: Every record kind: its store over a directory, a value it holds, and
+#: a plain view of such values for comparing a loaded one.
+KINDS = {
+    "result": (ResultCache, make_result, RunResult.to_dict),
+    "timeline": (TimelineQueryCache, make_query, QueryResult.to_dict),
+    "warm": (WarmCheckpointCache, lambda: {"regs": list(range(32))},
+             lambda blob: blob),
+}
+
+
+def each_store(tmp_path):
+    """One fresh store per record kind, with a value and its view."""
+    for kind, (store_class, make_value, plain) in KINDS.items():
+        yield kind, store_class(tmp_path / kind), make_value, plain
+
+
+def read_record(store, key):
+    data = store.path_for(key).read_bytes()
+    return pickle.loads(data) if store.suffix == ".pkl" else json.loads(data)
+
+
+def write_record(store, key, record) -> None:
+    data = (pickle.dumps(record) if store.suffix == ".pkl"
+            else json.dumps(record).encode())
+    store.path_for(key).write_bytes(data)
+
+
+def test_code_version_mismatch_is_miss_not_error(tmp_path):
+    for kind, store, make_value, _ in each_store(tmp_path):
+        key = store.key_for({"cell": 1})
+        store.store(key, make_value())
+        record = read_record(store, key)
+        record["code_version"] = "0" * 16
+        write_record(store, key, record)
+        assert store.load(key) is None, kind
+        assert (store.hits, store.misses) == (0, 1), kind
+
+
+def test_corrupt_record_is_miss_not_error(tmp_path):
+    for kind, store, make_value, _ in each_store(tmp_path):
+        key = store.key_for({"cell": 2})
+        store.store(key, make_value())
+        store.path_for(key).write_bytes(b"\x80\x05{not a record")
+        assert store.load(key) is None, kind
+        # Well-formed, wrong shape: not a dict, or missing its fields.
+        write_record(store, key, ["not", "a", "dict"])
+        assert store.load(key) is None, kind
+        write_record(store, key, {"format": CACHE_FORMAT})
+        assert store.load(key) is None, kind
+        assert (store.hits, store.misses) == (0, 3), kind
+
+
+def test_truncated_record_is_miss_not_error(tmp_path):
     # Simulate a crash mid-write: the record exists but is cut short at
-    # every possible byte boundary.  Each prefix must read as a miss.
-    key = cache.key_for({"cell": "truncated"})
-    cache.store(key, make_result())
-    full = cache.path_for(key).read_bytes()
-    for cut in (0, 1, len(full) // 2, len(full) - 1):
-        cache.path_for(key).write_bytes(full[:cut])
-        assert cache.load(key) is None, f"prefix of {cut} bytes hit"
-    # The slot is silently rewritable afterwards.
-    cache.store(key, make_result())
-    assert cache.load(key).overhead == 1.31
+    # every interesting byte boundary.  Each prefix must read as a miss.
+    for kind, store, make_value, plain in each_store(tmp_path):
+        key = store.key_for({"cell": "truncated"})
+        store.store(key, make_value())
+        full = store.path_for(key).read_bytes()
+        for cut in (0, 1, len(full) // 2, len(full) - 1):
+            store.path_for(key).write_bytes(full[:cut])
+            assert store.load(key) is None, f"{kind}: {cut}-byte prefix hit"
+        # The slot is silently rewritable afterwards.
+        store.store(key, make_value())
+        assert plain(store.load(key)) == plain(make_value()), kind
 
 
-def test_interrupted_store_leaves_no_partial_record(cache, monkeypatch):
-    # A crash while serializing the result must not leave the key's
+def test_interrupted_store_leaves_no_partial_record(tmp_path):
+    # A crash while serializing the value must not leave the key's
     # final path (or a stray temp file) behind.
-    key = cache.key_for({"cell": "crash"})
-    result = make_result()
-    monkeypatch.setattr(result, "to_dict",
-                        lambda: (_ for _ in ()).throw(RuntimeError("boom")))
-    with pytest.raises(RuntimeError):
-        cache.store(key, result)
-    assert not cache.path_for(key).exists()
-    assert list(cache.directory.glob("*.tmp")) == []
-    assert cache.load(key) is None
+    for kind, store, _, _ in each_store(tmp_path):
+        key = store.key_for({"cell": "crash"})
+        with pytest.raises(RuntimeError):
+            store.store(key, _Unencodable())
+        assert not store.path_for(key).exists(), kind
+        assert list(store.directory.glob("*.tmp")) == [], kind
+        assert store.load(key) is None, kind
+
+
+def test_wrong_cache_format_is_miss(tmp_path):
+    for kind, store, make_value, _ in each_store(tmp_path):
+        key = store.key_for({"cell": 3})
+        store.store(key, make_value())
+        record = read_record(store, key)
+        record["format"] = CACHE_FORMAT + 1
+        write_record(store, key, record)
+        assert store.load(key) is None, kind
 
 
 @pytest.fixture
@@ -96,20 +161,22 @@ def test_warm_cache_corrupt_pickle_is_miss_not_error(warm_cache):
     warm_cache.path_for(key).write_bytes(b"\x80\x05not a pickle")
     assert warm_cache.load(key) is None
     # A non-dict record (valid pickle, wrong shape) is also a miss.
-    import pickle
-
     warm_cache.path_for(key).write_bytes(pickle.dumps(["not", "a", "dict"]))
     assert warm_cache.load(key) is None
+    # So is a pickle naming a class that no longer exists.
+    warm_cache.path_for(key).write_bytes(b"cno_such_module\nGone\n.")
+    assert warm_cache.load(key) is None
+    assert (warm_cache.hits, warm_cache.misses) == (0, 3)
 
 
 def test_warm_cache_truncated_pickle_is_miss_not_error(warm_cache):
     # Simulate a crash mid-write: the checkpoint pickle exists but is
-    # cut short at every interesting byte boundary.  Each prefix must
-    # read as a miss, never raise, and the slot stays rewritable.
+    # cut short.  Every prefix must read as a miss, never raise, and
+    # the slot stays rewritable.
     key = warm_cache.key_for({"benchmark": "mcf"})
     warm_cache.store(key, {"regs": list(range(32))})
     full = warm_cache.path_for(key).read_bytes()
-    for cut in (0, 1, len(full) // 2, len(full) - 1):
+    for cut in range(len(full)):
         warm_cache.path_for(key).write_bytes(full[:cut])
         assert warm_cache.load(key) is None, f"prefix of {cut} bytes hit"
     warm_cache.store(key, {"regs": [7]})
@@ -117,26 +184,28 @@ def test_warm_cache_truncated_pickle_is_miss_not_error(warm_cache):
 
 
 def test_warm_cache_code_version_mismatch_is_miss(warm_cache):
-    import pickle
-
     key = warm_cache.key_for({"benchmark": "gcc"})
     warm_cache.store(key, {"pc": 4})
     record = pickle.loads(warm_cache.path_for(key).read_bytes())
     record["code_version"] = "0" * 16
     warm_cache.path_for(key).write_bytes(pickle.dumps(record))
     assert warm_cache.load(key) is None
+    # The layout older versions wrote (no envelope, just the blob) is a
+    # miss too, even under the current code version.
+    warm_cache.path_for(key).write_bytes(pickle.dumps(
+        {"code_version": code_version(), "blob": {"pc": 4}}))
+    assert warm_cache.load(key) is None
+    assert (warm_cache.hits, warm_cache.misses) == (0, 2)
 
 
 def test_warm_cache_interrupted_store_leaves_no_partial_record(
         warm_cache, monkeypatch):
-    import pickle as pickle_module
-
     key = warm_cache.key_for({"benchmark": "twolf"})
 
     def boom(*args, **kwargs):
         raise RuntimeError("disk full")
 
-    monkeypatch.setattr(pickle_module, "dump", boom)
+    monkeypatch.setattr(pickle, "dumps", boom)
     with pytest.raises(RuntimeError):
         warm_cache.store(key, {"pc": 8})
     assert not warm_cache.path_for(key).exists()
@@ -144,13 +213,75 @@ def test_warm_cache_interrupted_store_leaves_no_partial_record(
     assert warm_cache.load(key) is None
 
 
-def test_wrong_cache_format_is_miss(cache):
-    key = cache.key_for({"cell": 3})
-    cache.store(key, make_result())
-    record = json.loads(cache.path_for(key).read_text())
-    record["format"] = CACHE_FORMAT + 1
-    cache.path_for(key).write_text(json.dumps(record))
-    assert cache.load(key) is None
+class _FullDisk:
+    """A file that takes half of each write and then fails."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def write(self, data):
+        self._handle.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _fail(*args, **kwargs):
+    raise OSError(errno.EIO, "Input/output error")
+
+
+@pytest.mark.parametrize("point", ["write", "replace"])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_failed_write_keeps_the_older_record(kind, point, tmp_path,
+                                             monkeypatch):
+    # Kill the store at each write point, with an older record already
+    # at the key: the older record must survive whole, and no temp file
+    # may remain.
+    store_class, make_value, plain = KINDS[kind]
+    store = store_class(tmp_path)
+    key = store.key_for({"cell": "older"})
+    store.store(key, make_value())
+    with monkeypatch.context() as patch:
+        if point == "write":
+            fdopen = os.fdopen
+            patch.setattr(os, "fdopen", lambda fd, *args, **kwargs:
+                          _FullDisk(fdopen(fd, *args, **kwargs)))
+        else:
+            patch.setattr(os, "replace", _fail)
+        with pytest.raises(OSError):
+            store.store(key, make_value())
+    assert plain(store.load(key)) == plain(make_value())
+    assert list(store.directory.glob("*.tmp")) == []
+    assert store.stores == 1
+
+
+_RESULT = make_result().to_dict()
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("result", {"result": None}),
+    ("result", {"result": "not a result"}),
+    ("result", {"result": ["not", "a", "result"]}),
+    ("result", {"result": {**_RESULT, "stats": ["not", "a", "dict"]}}),
+    ("warm", {}),
+], ids=["result-null", "result-string", "result-list", "stats-list",
+        "warm-no-blob"])
+def test_undecodable_current_record_is_a_counted_miss(kind, fields,
+                                                       tmp_path):
+    # A record of the current format and code version whose value does
+    # not decode is a miss like any other, never an error or a hit.
+    store = KINDS[kind][0](tmp_path)
+    key = store.key_for({"cell": "malformed"})
+    store.directory.mkdir(parents=True, exist_ok=True)
+    write_record(store, key, {"format": CACHE_FORMAT,
+                              "code_version": code_version(), "key": None,
+                              **fields})
+    assert store.load(key) is None
+    assert (store.hits, store.misses) == (0, 1)
 
 
 def test_disabled_cache_never_touches_disk(tmp_path):

@@ -20,8 +20,7 @@ import pathlib
 
 import pytest
 
-from repro.workloads.conformance import _data_symbols, _run_debugged, \
-    _run_undebugged
+from repro.workloads.conformance import _data_symbols, _run
 from repro.workloads.corpus import programs_corpus
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -35,9 +34,8 @@ def _compute_golden(entry) -> dict:
     """The canonical record for one corpus entry (JSON-ready)."""
     program = entry.build()
     symbols = _data_symbols(program)
-    base = _run_undebugged(entry, symbols, "table", None)
-    debugged = _run_debugged(entry, symbols, _REFERENCE_BACKEND, "table",
-                             None)
+    base = _run(entry, symbols, None, "table", None)
+    debugged = _run(entry, symbols, _REFERENCE_BACKEND, "table", None)
     if base.error or debugged.error:
         raise RuntimeError(f"golden workload {entry.name} failed: "
                            f"{base.error or debugged.error}")
