@@ -5,9 +5,14 @@ for that to be affordable the snapshot must be O(dirty pages), not
 O(memory).  This benchmark times ``Machine.snapshot()`` against a full
 ``copy.deepcopy`` of the same machine's mutable state on a footprint of
 a couple thousand resident pages, and asserts the CoW snapshot is at
-least 10x cheaper.  It also measures the warm-start path end to end: a
-warm-started experiment cell must recompute *zero* prefix instructions
-(its measured run covers exactly the measure budget).
+least 10x cheaper.  That machine is functional (no timing model), so a
+second case measures what a timed machine adds: its cache and TLB tag
+arrays.  A snapshot plus restore of a warm default-config machine must
+cost at most 4x that of its functional twin; the ratio is measured in
+one process, so it does not depend on host speed.  It also measures
+the warm-start path end to end: a warm-started experiment cell must
+recompute *zero* prefix instructions (its measured run covers exactly
+the measure budget).
 
 Run directly with::
 
@@ -27,10 +32,22 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.memory.main_memory import PAGE_BYTES
+from repro.workloads.benchmarks import build_benchmark
 
 TARGET_PAGES = 2_000
 SPEEDUP_FLOOR = 10.0
 SNAPSHOT_ROUNDS = 20
+WARM_INSTRUCTIONS = 20_000
+CHECKPOINT_ROUNDS = 30
+TIMED_RATIO_CEILING = 4.0
+
+#: Sections of the ``checkpoint_cost`` exhibit, in the order recorded.
+_EXHIBIT: dict[str, str] = {}
+
+
+def _record_section(results_dir, key: str, text: str) -> None:
+    _EXHIBIT[key] = text
+    record(results_dir, "checkpoint_cost", "\n\n".join(_EXHIBIT.values()))
 
 
 def _wide_footprint_machine() -> Machine:
@@ -83,8 +100,42 @@ def test_cow_snapshot_beats_deep_copy(benchmark, results_dir):
         f"  deepcopy:  {deep * 1e6:10.1f} us",
         f"  speedup:   {speedup:10.1f}x (floor {SPEEDUP_FLOOR:.0f}x)",
     ])
-    record(results_dir, "checkpoint_cost", text)
+    _record_section(results_dir, "cow", text)
     assert speedup >= SPEEDUP_FLOOR, text
+
+
+def _warm_gcc(detailed_timing: bool) -> Machine:
+    machine = Machine(build_benchmark("gcc"), detailed_timing=detailed_timing)
+    machine.run(WARM_INSTRUCTIONS)
+    return machine
+
+
+def test_timed_checkpoint_costs_little_over_functional(benchmark,
+                                                       results_dir):
+    timed = _warm_gcc(True)
+    functional = _warm_gcc(False)
+
+    def round_trip(machine: Machine):
+        return lambda: machine.restore(machine.snapshot())
+
+    def measure():
+        return (_time(round_trip(timed), CHECKPOINT_ROUNDS),
+                _time(round_trip(functional), CHECKPOINT_ROUNDS))
+
+    timed_s, functional_s = benchmark.pedantic(measure, rounds=1,
+                                               iterations=1)
+    ratio = timed_s / functional_s
+    text = "\n".join([
+        "checkpoint cost: snapshot + restore, warm gcc "
+        f"({WARM_INSTRUCTIONS:,} instructions, best of "
+        f"{CHECKPOINT_ROUNDS})",
+        f"  timed:       {timed_s * 1e6:10.1f} us",
+        f"  functional:  {functional_s * 1e6:10.1f} us",
+        f"  ratio:       {ratio:10.1f}x (ceiling "
+        f"{TIMED_RATIO_CEILING:.0f}x)",
+    ])
+    _record_section(results_dir, "timed", text)
+    assert ratio <= TIMED_RATIO_CEILING, text
 
 
 def test_warm_start_skips_the_entire_prefix(benchmark, results_dir):

@@ -52,6 +52,8 @@ cycle counts are identical; functional runs compile none of them.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.cpu.functional import MASK64, SIGN_BIT
 from repro.memory.main_memory import PAGE_BYTES
 from repro.isa.instruction import (H_ALU_IMM, H_ALU_LDA, H_ALU_MOV, H_ALU_REG,
@@ -276,7 +278,10 @@ class CompiledTier:
     """Block compiler + chain-dispatch loop for one machine."""
 
     def __init__(self, machine):
-        self.m = machine
+        # Held weakly: the machine owns this tier, and a strong
+        # back-reference would keep both alive until the cycle
+        # collector ran.
+        self._machine = weakref.ref(machine)
         self._timed = machine.timing is not None
         self._hot_threshold = machine.config.compiled_hot_threshold
         # entry pc -> (block function, max app instructions) | _FALLBACK
@@ -305,7 +310,7 @@ class CompiledTier:
 
     def _stale(self) -> bool:
         """Does the live machine environment differ from the capture?"""
-        m = self.m
+        m = self._machine()
         engine = m.dise_engine
         return (self._text_version != m.text_version
                 or self._engine_prods != engine._productions
@@ -317,7 +322,7 @@ class CompiledTier:
 
     def _capture(self) -> None:
         self.blocks.clear()
-        m = self.m
+        m = self._machine()
         engine = m.dise_engine
         self._text_version = m.text_version
         self._engine_prods = list(engine._productions)
@@ -337,12 +342,12 @@ class CompiledTier:
         functions, free nops, and traps behave exactly as they do there
         — including a stop or halt before the commit.
         """
-        m = self.m
+        m = self._machine()
         m._run_table(m.stats.app_instructions + 1)
 
     def run(self, limit: int) -> None:
         """The compiled tier's top-level loop (mirrors _run_table)."""
-        m = self.m
+        m = self._machine()
         step = self._step
         while not m.halted:
             if m.stopped_at_user:
@@ -431,7 +436,7 @@ class CompiledTier:
         re-checks the run limit (and, for storing bodies, the text
         version) before every iteration.
         """
-        m = self.m
+        m = self._machine()
         text = m._text
         base = m._text_base
         n = len(text)

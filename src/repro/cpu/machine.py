@@ -25,8 +25,8 @@ the transition (:class:`~repro.cpu.stats.TransitionKind`); the timing
 model then charges it (spurious: flush + 100,000 cycles; user: free).
 
 Interpreter organization (see DESIGN.md "Interpreter architecture"):
-execution dispatches through a table of per-opclass handler methods
-indexed by each instruction's cached decode record
+execution dispatches through a class-level table of per-opclass handler
+functions indexed by each instruction's interned decode record
 (:class:`~repro.isa.instruction.Decoded`), with ALU and JUMP split into
 opcode-level subcases.  One loop and one handler per index serve timed
 and functional runs alike: each timing-model event is guarded by a
@@ -44,6 +44,7 @@ debugger, and are not re-fired for the same fetch on resume.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Callable, Optional
@@ -114,6 +115,36 @@ class TrapEvent:
 
 
 TrapHandler = Callable[[TrapEvent], TransitionKind]
+
+
+class WeakBoundMethod:
+    """Call a bound method without keeping its object alive.
+
+    An owner that holds a machine and gives it one of its own bound
+    methods (a backend's ``handle_trap``, its ``snapshot`` as the
+    checkpoint function) closes a reference cycle: the machine would
+    outlive its owner until the cycle collector ran.  This callback
+    holds the object weakly and, like the bound method it stands for,
+    exposes ``__self__`` and ``__func__``.
+    """
+
+    __slots__ = ("_ref", "__func__")
+
+    def __init__(self, method):
+        self._ref = weakref.ref(method.__self__)
+        self.__func__ = method.__func__
+
+    @property
+    def __self__(self):
+        return self._ref()
+
+    def __call__(self, *args):
+        owner = self._ref()
+        if owner is None:
+            raise ReferenceError(
+                f"{self.__func__.__qualname__}: its object was freed")
+        return self.__func__(owner, *args)
+
 
 _SPURIOUS = frozenset({
     TransitionKind.SPURIOUS_ADDRESS,
@@ -253,11 +284,11 @@ class Machine:
         # configured or enable_checkpoints() is called.
         self.checkpoint_store: Optional[CheckpointStore] = None
         self._checkpoint_interval = self.config.checkpoint_interval
-        self._checkpoint_fn: Callable[[], object] = self.snapshot
+        # None means :meth:`snapshot`, looked up when a checkpoint is
+        # taken, so the machine holds no bound method of itself.
+        self._checkpoint_fn: Optional[Callable[[], object]] = None
         if self._checkpoint_interval > 0:
             self.checkpoint_store = CheckpointStore()
-
-        self._handlers = self._build_handler_table()
 
         self._load_program()
 
@@ -352,9 +383,10 @@ class Machine:
     # mid-expansion fetch state — so restore() rewinds a run exactly,
     # including a run paused inside a replacement sequence.  Memory is
     # captured copy-on-write (see MainMemory.snapshot), so checkpoints
-    # of a large, mostly-idle footprint stay cheap.  restore() mutates
-    # components in place and never replaces bound objects (handler
-    # tables, the timing model's commit binding, the trap handler).
+    # of a large, mostly-idle footprint stay cheap, and tag arrays are
+    # captured by sharing their immutable sets (see repro.memory.cache).
+    # restore() rewinds state only: configuration and the callbacks the
+    # machine was given (trap handler, checkpoint function) stay.
 
     def snapshot(self) -> dict:
         """Capture all mutable machine state as an opaque blob.
@@ -499,33 +531,6 @@ class Machine:
         if self._kernel is not None:
             digest.update(self._kernel.state_fingerprint().encode())
         return digest.hexdigest()
-
-    def _build_handler_table(self) -> tuple:
-        """Bind the dispatch table: one handler per handler index."""
-        table: list = [None] * NUM_HANDLERS
-        table[H_ALU_LDA] = self._h_alu_lda
-        table[H_ALU_MOV] = self._h_alu_mov
-        table[H_ALU_IMM] = self._h_alu_imm
-        table[H_ALU_REG] = self._h_alu_reg
-        table[H_LOAD] = self._h_load
-        table[H_STORE] = self._h_store
-        table[H_BRANCH] = self._h_branch
-        table[H_JUMP_BR] = self._h_jump_br
-        table[H_JUMP_JSR] = self._h_jump_jsr
-        table[H_JUMP_RET] = self._h_jump_ret
-        table[H_JUMP_JMP] = self._h_jump_jmp
-        table[H_TRAP] = self._h_trap
-        table[H_CTRAP] = self._h_ctrap
-        table[H_DISE_BRANCH] = self._h_dise_branch
-        table[H_DISE_CALL] = self._h_dise_call
-        table[H_DISE_RET] = self._h_dise_ret
-        table[H_DISE_MOVE] = self._h_dise_move
-        table[H_NOP] = self._h_nop
-        table[H_HALT] = self._h_halt
-        table[H_CODEWORD] = self._h_codeword
-        table[H_SYSCALL] = self._h_syscall
-        table[H_ERET] = self._h_eret
-        return tuple(table)
 
     # -- register helpers -----------------------------------------------------
 
@@ -702,7 +707,8 @@ class Machine:
             app = stats.app_instructions
             if boundary >= 0 and app >= boundary \
                     and self.pending_trap is None:
-                store.add(Checkpoint(app, self._checkpoint_fn()))
+                capture = self._checkpoint_fn or self.snapshot
+                store.add(Checkpoint(app, capture()))
             if self.pending_trap is not None:
                 break
             if 0 <= deadline <= app:
@@ -725,8 +731,9 @@ class Machine:
         """Turn on periodic auto-checkpointing during :meth:`run`.
 
         ``snapshot_fn`` overrides what gets captured (the reverse
-        controller passes the owning backend's ``snapshot`` so debugger
-        bookkeeping rides along); default is :meth:`snapshot`.
+        controller passes the owning backend's ``snapshot``, held
+        weakly, so debugger bookkeeping rides along); default is
+        :meth:`snapshot`.
         """
         if interval is None:
             interval = self._checkpoint_interval or self.config.checkpoint_interval
@@ -734,7 +741,7 @@ class Machine:
             raise ValueError(f"checkpoint interval {interval} must be > 0")
         self._checkpoint_interval = interval
         self.checkpoint_store = store if store is not None else CheckpointStore()
-        self._checkpoint_fn = snapshot_fn or self.snapshot
+        self._checkpoint_fn = snapshot_fn
         return self.checkpoint_store
 
     def _run_table(self, limit: int) -> None:
@@ -751,7 +758,7 @@ class Machine:
         eng_by_opclass = engine._by_opclass
         eng_by_codeword = engine._by_codeword
         eng_generic = engine._generic
-        handlers = self._handlers
+        handlers = self._HANDLERS
         instrumentation_pcs = self.instrumentation_pcs
         nop_class = OpClass.NOP
         codeword_op = Opcode.CODEWORD
@@ -824,18 +831,19 @@ class Machine:
                 stats.app_instructions += 1
             if timing is not None:
                 timing.commit()
-            handlers[d.handler_index](inst, d, is_dise)
+            handlers[d.handler_index](self, inst, d, is_dise)
 
     # -- dispatch-table handlers ------------------------------------------------
     #
-    # One method per handler index (see repro.isa.instruction), shared
-    # by timed and functional runs.  A handler calls the timing model
-    # only when `self.timing` is set; the only other update under that
-    # test is `dise_call_flushes`, a count the timing model decides
-    # (tests/test_differential.py checks that timed and functional runs
-    # agree on everything else).  `d.fast_regs` marks instructions whose
-    # operands can be accessed directly in the GPR file (no zero/DISE-
-    # register checks).
+    # One function per handler index (see repro.isa.instruction), shared
+    # by timed and functional runs and gathered in the class-level
+    # `_HANDLERS` tuple, which the loop calls with the machine.  A
+    # handler calls the timing model only when `self.timing` is set; the
+    # only other update under that test is `dise_call_flushes`, a count
+    # the timing model decides (tests/test_differential.py checks that
+    # timed and functional runs agree on everything else).
+    # `d.fast_regs` marks instructions whose operands can be accessed
+    # directly in the GPR file (no zero/DISE-register checks).
 
     def _h_alu_lda(self, inst: Instruction, d, is_dise: bool) -> None:
         if d.fast_regs:
@@ -1119,6 +1127,34 @@ class Machine:
         if self.timing is not None:
             self.timing.flush()
         self._jump(self.trap_epc)
+
+    # The dispatch table, in handler-index order.  Plain functions, not
+    # methods bound per machine: a bound table would make every machine
+    # a reference cycle, kept alive until the cycle collector runs.
+    _HANDLERS: list = [None] * NUM_HANDLERS
+    _HANDLERS[H_ALU_LDA] = _h_alu_lda
+    _HANDLERS[H_ALU_MOV] = _h_alu_mov
+    _HANDLERS[H_ALU_IMM] = _h_alu_imm
+    _HANDLERS[H_ALU_REG] = _h_alu_reg
+    _HANDLERS[H_LOAD] = _h_load
+    _HANDLERS[H_STORE] = _h_store
+    _HANDLERS[H_BRANCH] = _h_branch
+    _HANDLERS[H_JUMP_BR] = _h_jump_br
+    _HANDLERS[H_JUMP_JSR] = _h_jump_jsr
+    _HANDLERS[H_JUMP_RET] = _h_jump_ret
+    _HANDLERS[H_JUMP_JMP] = _h_jump_jmp
+    _HANDLERS[H_TRAP] = _h_trap
+    _HANDLERS[H_CTRAP] = _h_ctrap
+    _HANDLERS[H_DISE_BRANCH] = _h_dise_branch
+    _HANDLERS[H_DISE_CALL] = _h_dise_call
+    _HANDLERS[H_DISE_RET] = _h_dise_ret
+    _HANDLERS[H_DISE_MOVE] = _h_dise_move
+    _HANDLERS[H_NOP] = _h_nop
+    _HANDLERS[H_HALT] = _h_halt
+    _HANDLERS[H_CODEWORD] = _h_codeword
+    _HANDLERS[H_SYSCALL] = _h_syscall
+    _HANDLERS[H_ERET] = _h_eret
+    _HANDLERS = tuple(_HANDLERS)
 
     # -- legacy interpreter ------------------------------------------------------
     #

@@ -76,6 +76,7 @@ class TimingModel:
         self._loads_this_cycle = 0
         self._stores_this_cycle = 0
         # Off-thread mode: instructions retire on a spare thread context.
+        # Only a multithreaded DISE call sets it.
         self.offthread = False
 
         self.flushes = 0
@@ -83,12 +84,6 @@ class TimingModel:
         self._last_fetch_line = -1
         self._last_fetch_page = -1
         self._last_data_page = -1
-
-        # commit() runs once per retired instruction; single-threaded
-        # configurations never enter off-thread mode, so bind the
-        # variant without that test.
-        if not self.multithreaded:
-            self.commit = self._commit_singlethreaded
 
     # -- cycle bookkeeping -------------------------------------------------
 
@@ -108,16 +103,14 @@ class TimingModel:
     # -- per-instruction events ----------------------------------------------
 
     def commit(self) -> None:
-        """One instruction retires, consuming a commit slot."""
-        if self.offthread and self.multithreaded:
-            return
-        self._slots += 1
-        if self._slots >= self._width:
-            self._next_cycle()
+        """One instruction retires, consuming a commit slot (none while
+        a multithreaded DISE call runs off-thread).
 
-    def _commit_singlethreaded(self) -> None:
-        """commit() with the off-thread test and the _next_cycle call
-        folded away (bound over ``commit`` when not multithreaded)."""
+        Runs once per retired instruction, so the cycle advance of
+        :meth:`_next_cycle` is written inline.
+        """
+        if self.offthread:
+            return
         self._slots += 1
         if self._slots >= self._width:
             self.cycles += 1.0
@@ -287,9 +280,9 @@ class TimingModel:
     def snapshot(self) -> tuple:
         """Capture cycle/port state plus all microarchitectural state.
 
-        The blob holds mutable state only; configuration (and the
-        ``commit`` binding chosen at construction) is untouched by
-        :meth:`restore`.
+        The blob holds mutable state only; configuration is untouched
+        by :meth:`restore`.  Tag arrays share their immutable sets with
+        the blob (see :mod:`repro.memory.cache`).
         """
         return (self.cycles, self._slots, self._loads_this_cycle,
                 self._stores_this_cycle, self.offthread, self.flushes,

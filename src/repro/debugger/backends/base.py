@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from repro.config import MachineConfig, DEFAULT_CONFIG
-from repro.cpu.machine import Machine, TrapEvent
+from repro.cpu.machine import Machine, TrapEvent, WeakBoundMethod
 from repro.cpu.stats import TransitionKind
 from repro.debugger.expressions import ProgramResolver
 from repro.debugger.transitions import WatchpointMonitor
@@ -57,8 +57,10 @@ class DebuggerBackend:
         # pristine and sessions can be relaunched.  The DISE backend
         # only ever appends to its image; the rewriter transforms it.
         self.program = self.transform_program(program.copy())
+        # The machine holds this backend weakly, so dropping the backend
+        # frees both without waiting for the cycle collector.
         self.machine = Machine(self.program, self.config,
-                               trap_handler=self.handle_trap,
+                               trap_handler=WeakBoundMethod(self.handle_trap),
                                detailed_timing=detailed_timing)
         # A warm-start checkpoint (from an *undebugged* run of the same
         # program/config — see repro.harness.experiment) restores before

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.config import MachineConfig
-from repro.cpu.machine import Machine, MachineRun, TrapEvent, TrapKind
+from repro.cpu.machine import (Machine, MachineRun, TrapEvent, TrapKind,
+                               WeakBoundMethod)
 from repro.cpu.stats import TransitionKind
 from repro.dise.pattern import Pattern
 from repro.dise.production import Production
@@ -87,8 +88,9 @@ class IWatcher:
     def __init__(self, program: Program,
                  config: Optional[MachineConfig] = None):
         self.program = program
-        self.machine = Machine(program, config,
-                               trap_handler=self._handle_trap)
+        self.machine = Machine(
+            program, config,
+            trap_handler=WeakBoundMethod(self._handle_trap))
         self._regions: list[_Region] = []
         self._production: Optional[Production] = None
 

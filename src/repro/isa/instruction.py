@@ -37,7 +37,7 @@ from repro.isa.registers import NUM_GPRS, ZERO_REG, register_name
 TargetType = Union[int, str, None]
 
 # Handler indices of the dispatch-table interpreter
-# (:mod:`repro.cpu.machine` builds a bound-method table in this order).
+# (:class:`repro.cpu.machine.Machine` holds its handlers in this order).
 # ALU and JUMP are split into their opcode-level subcases so the hot
 # loop never re-inspects the opcode.
 (H_ALU_LDA, H_ALU_MOV, H_ALU_IMM, H_ALU_REG, H_LOAD, H_STORE, H_BRANCH,
@@ -49,16 +49,82 @@ NUM_HANDLERS = 22
 
 
 class Decoded:
-    """Cached per-instruction decode record.
+    """Shared, never-mutated decode record.
 
-    Computed once (at :meth:`Program.finalize` / ``reload_text``, or
-    lazily for runtime-instantiated replacement instructions) so the
-    interpreter's hot loop never re-derives opclass, format, memory
-    size, or the handler to dispatch to.
+    A record depends only on the opcode, on whether ``rs2`` is present
+    (an ALU operation takes a register or an immediate), and on
+    ``fast_regs``, so :meth:`Instruction.decode` interns one record per
+    such key in :data:`DECODED` and every instruction of that shape
+    shares it.  The interpreter's hot loop reads opclass, format,
+    memory size and the handler to dispatch to from it and never
+    re-derives them.
     """
 
     __slots__ = ("opclass", "format", "mem_size", "handler_index",
                  "alu_func", "branch_func", "fast_regs")
+
+    def __init__(self, opcode: Opcode, has_rs2: bool, fast_regs: bool):
+        # Deferred import: repro.cpu.functional imports repro.isa.opcodes.
+        from repro.cpu.functional import ALU_FUNCS, BRANCH_FUNCS
+
+        info = opcode_info(opcode)
+        opclass = info.opclass
+        self.opclass = opclass
+        self.format = info.format
+        self.mem_size = info.mem_size
+        self.alu_func = None
+        self.branch_func = None
+        self.fast_regs = fast_regs
+
+        if opclass is OpClass.ALU:
+            if info.format is Format.MEMORY:  # lda
+                self.handler_index = H_ALU_LDA
+            elif opcode is Opcode.MOV:
+                self.handler_index = H_ALU_MOV
+            elif has_rs2:
+                self.handler_index = H_ALU_REG
+                self.alu_func = ALU_FUNCS[opcode]
+            else:
+                self.handler_index = H_ALU_IMM
+                self.alu_func = ALU_FUNCS[opcode]
+        elif opclass is OpClass.LOAD:
+            self.handler_index = H_LOAD
+        elif opclass is OpClass.STORE:
+            self.handler_index = H_STORE
+        elif opclass is OpClass.BRANCH:
+            self.handler_index = H_BRANCH
+            self.branch_func = BRANCH_FUNCS[opcode]
+        elif opclass is OpClass.JUMP:
+            self.handler_index = {
+                Opcode.BR: H_JUMP_BR, Opcode.JSR: H_JUMP_JSR,
+                Opcode.RET: H_JUMP_RET, Opcode.JMP: H_JUMP_JMP}[opcode]
+        elif opclass is OpClass.TRAP:
+            self.handler_index = (H_CTRAP if opcode is Opcode.CTRAP
+                                  else H_TRAP)
+        elif opclass is OpClass.NOP:
+            self.handler_index = H_NOP
+        elif opclass is OpClass.HALT:
+            self.handler_index = H_HALT
+        elif opclass is OpClass.CODEWORD:
+            self.handler_index = H_CODEWORD
+        elif opclass is OpClass.SYSCALL:
+            self.handler_index = H_SYSCALL
+        elif opclass is OpClass.ERET:
+            self.handler_index = H_ERET
+        elif opclass is OpClass.DISE_BRANCH:
+            self.handler_index = H_DISE_BRANCH
+        elif opclass is OpClass.DISE_CALL:
+            self.handler_index = H_DISE_CALL
+        elif opclass is OpClass.DISE_RET:
+            self.handler_index = H_DISE_RET
+        else:  # OpClass.DISE_MOVE
+            self.handler_index = H_DISE_MOVE
+
+
+#: The interned decode records, keyed ``(opcode, has_rs2, fast_regs)``:
+#: bounded by the ISA (at most four records per opcode), not by the
+#: register combinations programs use.
+DECODED: dict[tuple[Opcode, bool, bool], Decoded] = {}
 
 
 class Instruction:
@@ -115,69 +181,16 @@ class Instruction:
     # -- decode cache ------------------------------------------------------
 
     def decode(self) -> Decoded:
-        """Compute (and cache) the interpreter's decode record.
+        """Look up (and cache) the interpreter's decode record.
 
         Must run after symbolic operands are resolved (``imm`` may be a
-        symbol name until :meth:`Program.finalize`); the record caches
-        nothing derived from ``imm``/``target`` themselves, so later
-        retargeting (e.g. by the binary rewriter) stays safe.
+        symbol name until :meth:`Program.finalize`).  The record holds
+        nothing derived from ``imm``/``target``, so later retargeting
+        (e.g. by the binary rewriter) stays safe; a change of opcode or
+        registers needs ``decoded`` reset to None first.
         """
-        # Deferred import: repro.cpu.functional imports repro.isa.opcodes.
-        from repro.cpu.functional import ALU_FUNCS, BRANCH_FUNCS
-
         info = self.info
-        opclass = info.opclass
-        opcode = self.opcode
-        d = Decoded()
-        d.opclass = opclass
-        d.format = info.format
-        d.mem_size = info.mem_size
-        d.alu_func = None
-        d.branch_func = None
-
-        if opclass is OpClass.ALU:
-            if info.format is Format.MEMORY:  # lda
-                d.handler_index = H_ALU_LDA
-            elif opcode is Opcode.MOV:
-                d.handler_index = H_ALU_MOV
-            elif self.rs2 is not None:
-                d.handler_index = H_ALU_REG
-                d.alu_func = ALU_FUNCS[opcode]
-            else:
-                d.handler_index = H_ALU_IMM
-                d.alu_func = ALU_FUNCS[opcode]
-        elif opclass is OpClass.LOAD:
-            d.handler_index = H_LOAD
-        elif opclass is OpClass.STORE:
-            d.handler_index = H_STORE
-        elif opclass is OpClass.BRANCH:
-            d.handler_index = H_BRANCH
-            d.branch_func = BRANCH_FUNCS[opcode]
-        elif opclass is OpClass.JUMP:
-            d.handler_index = {Opcode.BR: H_JUMP_BR, Opcode.JSR: H_JUMP_JSR,
-                               Opcode.RET: H_JUMP_RET,
-                               Opcode.JMP: H_JUMP_JMP}[opcode]
-        elif opclass is OpClass.TRAP:
-            d.handler_index = H_CTRAP if opcode is Opcode.CTRAP else H_TRAP
-        elif opclass is OpClass.NOP:
-            d.handler_index = H_NOP
-        elif opclass is OpClass.HALT:
-            d.handler_index = H_HALT
-        elif opclass is OpClass.CODEWORD:
-            d.handler_index = H_CODEWORD
-        elif opclass is OpClass.SYSCALL:
-            d.handler_index = H_SYSCALL
-        elif opclass is OpClass.ERET:
-            d.handler_index = H_ERET
-        elif opclass is OpClass.DISE_BRANCH:
-            d.handler_index = H_DISE_BRANCH
-        elif opclass is OpClass.DISE_CALL:
-            d.handler_index = H_DISE_CALL
-        elif opclass is OpClass.DISE_RET:
-            d.handler_index = H_DISE_RET
-        else:  # OpClass.DISE_MOVE
-            d.handler_index = H_DISE_MOVE
-
+        rs2 = self.rs2
         # May every named register be accessed directly in the GPR file?
         # (All operands conventional; a written rd that is neither the
         # zero register nor a DISE register.)  When False the handlers
@@ -185,15 +198,18 @@ class Instruction:
         fast = True
         if info.reads_rs1:
             fast = self.rs1 is not None and 0 <= self.rs1 < NUM_GPRS
-        if fast and info.reads_rs2 and self.rs2 is not None:
-            fast = 0 <= self.rs2 < NUM_GPRS
+        if fast and info.reads_rs2 and rs2 is not None:
+            fast = 0 <= rs2 < NUM_GPRS
         if fast and info.reads_rd:
             fast = self.rd is not None and 0 <= self.rd < NUM_GPRS
         if fast and info.writes_rd:
             fast = (self.rd is not None and 0 <= self.rd < NUM_GPRS
                     and self.rd != ZERO_REG)
-        d.fast_regs = fast
-
+        key = (self.opcode, rs2 is not None, fast)
+        d = DECODED.get(key)
+        if d is None:
+            # setdefault: threads that race on a new key agree on one.
+            d = DECODED.setdefault(key, Decoded(*key))
         self.decoded = d
         return d
 

@@ -11,6 +11,13 @@ classify accesses for the timing model.  This is sufficient because the
 paper's cache-related effects (binary rewriting's instruction-cache
 bloat, load-port/D$ contention of expression-evaluating replacement
 sequences) are hit/miss phenomena, not coherence phenomena.
+
+Each set is an immutable tuple of tags, most recently used first.  A
+hit on the MRU way changes nothing; any other hit, and every miss,
+replaces that one set's tuple.  So :meth:`SetAssociativeCache.snapshot`
+and ``restore`` copy one list of references, and checkpoints share
+every set that has not changed since the last one — a timed checkpoint
+costs one list copy per tag array, not a copy of every set.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ class SetAssociativeCache:
     """
 
     __slots__ = ("name", "config", "_sets", "_set_mask", "_line_shift",
-                 "hits", "misses")
+                 "_keep", "hits", "misses")
 
     def __init__(self, config: CacheConfig, name: str = "cache"):
         self.name = name
@@ -45,9 +52,11 @@ class SetAssociativeCache:
         if num_sets & (num_sets - 1):
             raise ValueError(
                 f"{name}: number of sets {num_sets} is not a power of two")
-        self._sets: list[list[int]] = [[] for _ in range(num_sets)]
+        self._sets: list[tuple[int, ...]] = [()] * num_sets
         self._set_mask = num_sets - 1
         self._line_shift = self._block_bytes(config).bit_length() - 1
+        # Ways a miss keeps behind the incoming line.
+        self._keep = config.associativity - 1
         self.hits = 0
         self.misses = 0
 
@@ -63,31 +72,32 @@ class SetAssociativeCache:
     def access(self, address: int) -> bool:
         """Probe the cache; fill on miss.  Returns True on hit."""
         line = address >> self._line_shift
-        ways = self._sets[line & self._set_mask]
-        if ways and ways[0] == line:  # MRU fast path
+        index = line & self._set_mask
+        ways = self._sets[index]
+        if ways and ways[0] == line:  # MRU fast path: nothing moves
             self.hits += 1
             return True
-        try:
-            ways.remove(line)
-        except ValueError:
-            self.misses += 1
-            ways.insert(0, line)
-            if len(ways) > self.config.associativity:
-                ways.pop()
-            return False
-        self.hits += 1
-        ways.insert(0, line)
-        return True
+        if line in ways:
+            self.hits += 1
+            way = ways.index(line)
+            self._sets[index] = (line,) + ways[:way] + ways[way + 1:]
+            return True
+        self.misses += 1
+        self._sets[index] = (line,) + ways[:self._keep]
+        return False
 
     def probe(self, address: int) -> bool:
         """Check residency without updating state (for tests/tools)."""
         line = address >> self._line_shift
         return line in self._sets[line & self._set_mask]
 
+    def _empty(self) -> None:
+        """Drop every tag (fresh empty sets; snapshots keep theirs)."""
+        self._sets = [()] * len(self._sets)
+
     def reset(self) -> None:
         """Empty the cache and zero the counters."""
-        for ways in self._sets:
-            ways.clear()
+        self._empty()
         self.hits = 0
         self.misses = 0
 
@@ -97,13 +107,17 @@ class SetAssociativeCache:
         self.misses = 0
 
     def snapshot(self) -> tuple:
-        """Capture cache contents and counters."""
-        return ([list(ways) for ways in self._sets], self.hits, self.misses)
+        """Capture cache contents and counters.
+
+        The sets are immutable, so the blob shares them with the live
+        cache: only the list of references is copied.
+        """
+        return (tuple(self._sets), self.hits, self.misses)
 
     def restore(self, blob: tuple) -> None:
         """Reset the cache to a previous :meth:`snapshot`."""
         sets, self.hits, self.misses = blob
-        self._sets = [list(ways) for ways in sets]
+        self._sets = list(sets)
 
     @property
     def accesses(self) -> int:

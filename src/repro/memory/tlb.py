@@ -32,5 +32,4 @@ class Tlb(SetAssociativeCache):
         This is a context switch, not a measurement reset: the incoming
         process re-misses its working set and those misses count.
         """
-        for ways in self._sets:
-            ways.clear()
+        self._empty()

@@ -6,9 +6,12 @@ metadata dict that higher layers annotate (the reverse-execution
 controller records how many user stops preceded each checkpoint).
 
 Blobs come from ``Machine.snapshot()`` (or a backend's ``snapshot()``,
-which wraps it): they are copy-on-write against live memory, so holding
-many checkpoints of a mostly-idle footprint costs O(dirty pages), and
-they reference live Python objects (productions, watchpoints), which
+which wraps it).  They share state with the live machine instead of
+copying it: memory pages copy-on-write, and the cache and TLB tag
+arrays' sets, which are immutable tuples (see :mod:`repro.memory.cache`).
+Holding many checkpoints therefore costs O(dirty pages + changed sets)
+plus one reference per set, not a copy of the machine each.  Blobs
+reference live Python objects (productions, watchpoints), which
 restricts restore to the same process and the same machine instance.
 
 :class:`CheckpointStore` keeps checkpoints ordered by instruction count

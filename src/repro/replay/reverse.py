@@ -49,6 +49,9 @@ class ReverseController:
 
     def __init__(self, backend, *, interval: int = DEFAULT_INTERVAL,
                  capacity: int = 64, record_fingerprints: bool = False):
+        # Deferred import: repro.cpu.machine imports repro.replay.
+        from repro.cpu.machine import WeakBoundMethod
+
         self.backend = backend
         self.machine = backend.machine
         self.machine.stop_on_user = True
@@ -56,7 +59,7 @@ class ReverseController:
         self.stops: list[StopRecord] = []
         self.store: CheckpointStore = self.machine.enable_checkpoints(
             interval=interval, store=CheckpointStore(capacity),
-            snapshot_fn=backend.snapshot)
+            snapshot_fn=WeakBoundMethod(backend.snapshot))
         # Genesis checkpoint: reverse execution can always reach the
         # state the controller started from.
         self.store.add(Checkpoint(self.machine.stats.app_instructions,

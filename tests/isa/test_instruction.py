@@ -1,7 +1,16 @@
 """Instruction record behaviour."""
 
-from repro.isa.instruction import Instruction
+from collections import Counter
+
+from repro.cpu.machine import Machine
+from repro.debugger.session import Session
+from repro.isa import assemble
+from repro.isa.instruction import (DECODED, H_ALU_IMM, H_ALU_REG,
+                                   Instruction)
 from repro.isa.opcodes import OpClass, Opcode
+from repro.isa.registers import ZERO_REG
+from repro.workloads.benchmarks import BENCHMARK_NAMES, build_benchmark
+from repro.workloads.corpus import programs_corpus
 
 
 def test_equality_and_hash():
@@ -54,3 +63,68 @@ def test_repr_contains_disassembly():
 def test_info_cached_on_instance():
     inst = Instruction(Opcode.MULQ, rd=1, rs1=2, rs2=3)
     assert inst.info.mnemonic == "mulq"
+
+
+# -- interned decode records ---------------------------------------------
+
+
+def test_same_shape_shares_one_decode_record():
+    a = Instruction(Opcode.ADDQ, rd=1, rs1=2, rs2=3)
+    b = Instruction(Opcode.ADDQ, rd=4, rs1=5, rs2=6)
+    immediate = Instruction(Opcode.ADDQ, rd=4, rs1=5, imm=6)
+    assert a.decode() is b.decode()
+    assert b.decoded is a.decoded
+    assert immediate.decode() is not a.decoded
+    assert immediate.decoded.handler_index == H_ALU_IMM
+
+
+def test_dropping_rs2_then_reload_text_dispatches_as_immediate():
+    program = assemble("""
+.text
+main:
+    lda r2, 7(r31)
+    lda r3, 100(r31)
+    addq r2, r3, r1
+    halt
+""")
+    machine = Machine(program, detailed_timing=False)
+    add = program.instructions[2]
+    assert add.decoded.handler_index == H_ALU_REG
+    add.rs2 = None
+    add.imm = 5
+    machine.reload_text()
+    machine.run()
+    assert add.decoded.handler_index == H_ALU_IMM
+    assert machine.regs[1] == 12
+
+
+def test_writing_the_zero_register_loses_fast_regs():
+    add = Instruction(Opcode.ADDQ, rd=1, rs1=2, rs2=3)
+    assert add.decode().fast_regs
+    add.rd = ZERO_REG
+    add.decoded = None
+    assert not add.decode().fast_regs
+    assert add.decoded.handler_index == H_ALU_REG
+
+
+def test_decode_table_is_bounded_by_the_isa():
+    """At most one record per (has rs2, fast_regs) pair of each opcode,
+    however many register combinations the decoded programs use."""
+    programs = [build_benchmark(name) for name in BENCHMARK_NAMES]
+    programs += [entry.build() for entry in programs_corpus()]
+    for program in programs:
+        for inst in program.instructions:
+            inst.decoded = None
+            inst.decode()
+    session = Session(build_benchmark("bzip2"), backend="dise")
+    session.watch("hot")
+    seen: list[Instruction] = []
+    backend = session.build_backend()
+    backend.machine.instruction_observer = (
+        lambda pc, disepc, inst, is_dise: is_dise and seen.append(inst))
+    backend.run(20_000)
+    assert seen and all(inst.decoded is not None for inst in seen)
+    per_opcode = Counter(opcode for opcode, _, _ in DECODED)
+    assert max(per_opcode.values()) <= 4
+    assert all(record.fast_regs == fast
+               for (_, _, fast), record in DECODED.items())
