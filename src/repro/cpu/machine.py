@@ -51,6 +51,7 @@ from typing import Callable, Optional
 
 from repro.config import DEFAULT_CONFIG, INTERPRETERS, MachineConfig
 from repro.errors import SimulationError
+from repro.cpu import process
 from repro.cpu.functional import MASK64, alu_result, branch_taken
 from repro.cpu.stats import SimStats, TransitionKind
 from repro.cpu.timing import TimingModel
@@ -65,11 +66,8 @@ from repro.isa.instruction import (H_ALU_IMM, H_ALU_LDA, H_ALU_MOV, H_ALU_REG,
                                    H_NOP, H_STORE, H_SYSCALL, H_TRAP,
                                    NUM_HANDLERS, Instruction)
 from repro.isa.opcodes import Format, Opcode, OpClass
-from repro.isa.program import (INSTRUCTION_BYTES, Program, STACK_TOP,
-                               STACK_BYTES, TEXT_BASE)
-from repro.isa.registers import DISE_REG_BASE, SP, ZERO_REG
-from repro.memory.main_memory import MainMemory
-from repro.memory.pagetable import PageTable
+from repro.isa.program import INSTRUCTION_BYTES, Program
+from repro.isa.registers import DISE_REG_BASE, ZERO_REG
 from repro.replay.checkpoint import Checkpoint, CheckpointStore
 
 
@@ -187,9 +185,8 @@ class Machine:
         detailed_timing: bool = True,
     ):
         self.config = config or DEFAULT_CONFIG
-        self.program = program
-        self.memory = MainMemory()
-        self.pagetable = PageTable(self.config.page_bytes)
+        # The per-process half of the machine (see repro.cpu.process).
+        process.boot(self, program, self.config.page_bytes)
         self.dise_engine = DiseEngine()
         self.dise_controller = DiseController(self.dise_engine,
                                               self.config.dise,
@@ -200,19 +197,8 @@ class Machine:
         self.stats = SimStats()
         self.trap_handler = trap_handler
 
-        # Debugging substrates.
-        self.hw_watch_ranges: list[tuple[int, int]] = []  # [lo, hi) ranges
-        self.breakpoint_registers: set[int] = set()
-        self.single_step = False
-        self.statement_pcs: frozenset[int] = frozenset()
-
         # Optional store observer (used for workload characterization).
         self.store_observer: Optional[Callable[[int, int, int, int], None]] = None
-
-        # PCs of statically inserted instrumentation (binary rewriting):
-        # they commit and cost cycles but do not count as application
-        # work, so run limits compare equal application progress.
-        self.instrumentation_pcs: frozenset[int] = frozenset()
 
         # Optional per-instruction observer (used by the tracer):
         # callable(pc, disepc, instruction, is_dise_inserted).
@@ -222,11 +208,6 @@ class Machine:
         # user transition (the debugger hands control to the user).
         self.stop_on_user = False
         self.stopped_at_user = False
-
-        # Architectural state.
-        self.regs = [0] * 32
-        self.pc = 0
-        self.halted = False
 
         # Privilege / trap architecture (see DESIGN.md §14).  The
         # machine boots in user mode; trap entry latches cause/epc/value
@@ -254,31 +235,11 @@ class Machine:
         self.current_process = program.name
         self._kernel = None
 
-        # DISE expansion state.
-        self._expansion: Optional[list[Instruction]] = None
-        self._exp_index = 0
-        self._trigger_pc = 0
-        self._in_dise_function = False
-        self._dise_return: Optional[tuple[int, list[Instruction], int]] = None
-        # Has the active expansion executed its store yet?  Gates the
-        # store context attached to explicit trap delivery.
-        self._expansion_did_store = False
-
-        # Fetch-stage trap whose stop was already taken: do not re-fire
-        # it for the same fetch when the interactive run resumes.
-        self._fetch_trap_resume_pc: Optional[int] = None
-
-        # Code-version counter: bumped by reload_text, patch_text, and
-        # self-modifying stores into text pages.  The compiled execution
-        # tier keys its block cache on it (plus the DISE engine's own
-        # version counter), so any code mutation drops compiled blocks.
-        self.text_version = 0
         interp = self.config.interpreter
         if interp not in INTERPRETERS:
             raise ValueError(f"unknown interpreter {interp!r}; expected "
                              f"one of {', '.join(INTERPRETERS)}")
         self._interp = interp
-        self._compiled = None  # lazily created CompiledTier
 
         # Periodic auto-checkpointing (see repro.replay): disabled until
         # configured or enable_checkpoints() is called.
@@ -290,23 +251,7 @@ class Machine:
         if self._checkpoint_interval > 0:
             self.checkpoint_store = CheckpointStore()
 
-        self._load_program()
-
     # -- setup -------------------------------------------------------------
-
-    def _load_program(self) -> None:
-        program = self.program
-        self._text: list[Instruction] = program.instructions
-        self._text_base = TEXT_BASE
-        self._text_end = TEXT_BASE + INSTRUCTION_BYTES * len(self._text)
-        for item in program.data_items:
-            symbol = program.symbols[item.name]
-            if item.init:
-                self.memory.write_bytes(symbol.address, item.init)
-        self.regs[SP] = STACK_TOP
-        self.pc = program.entry_pc
-        self.statement_pcs = frozenset(
-            program.pc_of_index(i) for i in program.statement_starts)
 
     def reload_text(self) -> None:
         """Re-read the program's instruction list (after appends).
@@ -317,15 +262,10 @@ class Machine:
         caller may have rewritten instruction fields in place — the
         machine cannot tell which slots changed.
         """
-        new_text = self.program.instructions
-        for inst in new_text:
+        for inst in self.program.instructions:
             inst.decoded = None
-        self._text = new_text
-        self._text_end = TEXT_BASE + INSTRUCTION_BYTES * len(new_text)
+        process.load_text(self)
         self.text_version += 1
-        self.statement_pcs = frozenset(
-            self.program.pc_of_index(i)
-            for i in self.program.statement_starts)
 
     def patch_text(self, pc: int, instruction: Instruction) -> None:
         """Replace the instruction at ``pc`` (self-modifying code API).
@@ -360,10 +300,7 @@ class Machine:
 
     def load_appended_data(self) -> None:
         """Write initializers of data items appended after construction."""
-        for item in self.program.data_items:
-            symbol = self.program.symbols[item.name]
-            if item.init:
-                self.memory.write_bytes(symbol.address, item.init)
+        process.load_data(self)
 
     def reset_stats(self) -> None:
         """Start a fresh measurement interval (e.g. after warm-up).
@@ -381,7 +318,9 @@ class Machine:
     # repro.replay): snapshot() captures every piece of mutable state —
     # architectural, microarchitectural, DISE, debug substrate, and
     # mid-expansion fetch state — so restore() rewinds a run exactly,
-    # including a run paused inside a replacement sequence.  Memory is
+    # including a run paused inside a replacement sequence.  The
+    # per-process half is repro.cpu.process's, shared with the kernel's
+    # inactive process contexts.  Memory is
     # captured copy-on-write (see MainMemory.snapshot), so checkpoints
     # of a large, mostly-idle footprint stay cheap, and tag arrays are
     # captured by sharing their immutable sets (see repro.memory.cache).
@@ -398,36 +337,16 @@ class Machine:
         machine contains plain data only and pickles cleanly — the
         harness persists such blobs as warm-start checkpoints.
         """
-        expansion = self._expansion
-        dise_return = self._dise_return
         return {
-            "regs": list(self.regs),
-            "pc": self.pc,
-            "halted": self.halted,
+            **process.snapshot(self),
             "stats": self.stats.to_dict(),
-            "memory": self.memory.snapshot(),
-            "pagetable": self.pagetable.snapshot(),
             "dise_regs": self.dise_regs.snapshot(),
             "dise_engine": self.dise_engine.snapshot(),
             "dise_controller": self.dise_controller.snapshot(),
             "timing": (self.timing.snapshot()
                        if self.timing is not None else None),
-            "expansion": (
-                list(expansion) if expansion is not None else None,
-                self._exp_index, self._trigger_pc, self._in_dise_function,
-                ((dise_return[0], list(dise_return[1]), dise_return[2])
-                 if dise_return is not None else None),
-                self._expansion_did_store),
-            "hw_watch_ranges": list(self.hw_watch_ranges),
-            "breakpoint_registers": set(self.breakpoint_registers),
-            "single_step": self.single_step,
-            "statement_pcs": self.statement_pcs,
-            "instrumentation_pcs": self.instrumentation_pcs,
             "stop_on_user": self.stop_on_user,
             "stopped_at_user": self.stopped_at_user,
-            "fetch_trap_resume_pc": self._fetch_trap_resume_pc,
-            "last_store": (self.last_store_addr, self.last_store_size,
-                           self.last_store_value),
             "trap": (self.kernel_mode, self.trap_vector, self.trap_cause,
                      self.trap_epc, self.trap_value, self.pending_trap,
                      self.timer_quantum, self.timer_deadline),
@@ -449,39 +368,19 @@ class Machine:
         """
         kernel_blob = blob.get("kernel")
         if self._kernel is not None and kernel_blob is not None:
-            # Realign the live process contexts first: the machine-level
-            # fields below describe the process that was *current* at
-            # snapshot time, and must restore into that process's
-            # component objects (memory, page table, text).
-            self._kernel.pre_restore(kernel_blob)
-        self.regs = list(blob["regs"])
-        self.pc = blob["pc"]
-        self.halted = blob["halted"]
+            # The per-process fields describe the process that was
+            # *current* at snapshot time: the kernel makes it live
+            # first, so they restore into its memory and page table.
+            self._kernel.restore(kernel_blob)
+        process.restore(self, blob)
         self.stats = SimStats.from_dict(blob["stats"])
-        self.memory.restore(blob["memory"])
-        self.pagetable.restore(blob["pagetable"])
         self.dise_regs.restore(blob["dise_regs"])
         self.dise_engine.restore(blob["dise_engine"])
         self.dise_controller.restore(blob["dise_controller"])
         if self.timing is not None and blob["timing"] is not None:
             self.timing.restore(blob["timing"])
-        (expansion, self._exp_index, self._trigger_pc,
-         self._in_dise_function, dise_return,
-         self._expansion_did_store) = blob["expansion"]
-        self._expansion = list(expansion) if expansion is not None else None
-        self._dise_return = (
-            (dise_return[0], list(dise_return[1]), dise_return[2])
-            if dise_return is not None else None)
-        self.hw_watch_ranges = list(blob["hw_watch_ranges"])
-        self.breakpoint_registers = set(blob["breakpoint_registers"])
-        self.single_step = blob["single_step"]
-        self.statement_pcs = blob["statement_pcs"]
-        self.instrumentation_pcs = blob["instrumentation_pcs"]
         self.stop_on_user = blob["stop_on_user"]
         self.stopped_at_user = blob["stopped_at_user"]
-        self._fetch_trap_resume_pc = blob["fetch_trap_resume_pc"]
-        (self.last_store_addr, self.last_store_size,
-         self.last_store_value) = blob["last_store"]
         # Trap/timer architecture (absent in pre-kernel blobs, e.g.
         # persisted warm-start checkpoints: default to boot state).
         (self.kernel_mode, self.trap_vector, self.trap_cause,
@@ -489,16 +388,6 @@ class Machine:
          self.timer_quantum, self.timer_deadline) = blob.get(
             "trap", (False, 0, 0, 0, 0, None, 0, -1))
         self.current_process = blob.get("process", self.current_process)
-        if self._kernel is not None and kernel_blob is not None:
-            self._kernel.post_restore(kernel_blob)
-        # The snapshot may predate text mutations and carry a different
-        # DISE production set; compiled blocks must never survive a
-        # restore.  Cheaper than fingerprinting code versions into the
-        # blob, and restore frequency is nowhere near block-compile
-        # frequency.  (text_version is cache-coherency state, not
-        # machine state: it is deliberately not snapshotted.)
-        if self._compiled is not None:
-            self._compiled.flush()
 
     def state_fingerprint(self) -> str:
         """Digest of architectural state, for differential checks.
@@ -1421,12 +1310,6 @@ class Machine:
             return
 
         raise SimulationError(f"unhandled opcode {opcode.name}")
-
-    # -- store context for trap handlers -------------------------------------
-
-    last_store_addr: int = 0
-    last_store_size: int = 0
-    last_store_value: int = 0
 
     # -- control-flow helpers --------------------------------------------------
 

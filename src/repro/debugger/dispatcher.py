@@ -225,13 +225,14 @@ class CommandDispatcher:
         """backend NAME [key=value ...] — choose the implementation."""
         if not args:
             raise CommandError("usage: backend NAME [key=value ...]")
-        self.session.backend_name = args[0]
         options = {}
         for pair in args[1:]:
             if "=" not in pair:
                 raise CommandError(f"bad option {pair!r}; use key=value")
             key, value = pair.split("=", 1)
             options[key] = parse_option_value(value)
+        check_backend_options(options)
+        self.session.backend_name = args[0]
         self.session.backend_options = options
         self._invalidate()
         return CommandResult("backend",
@@ -526,6 +527,32 @@ class CommandDispatcher:
             f"{ratio:.3f}x baseline over "
             f"{self._instructions_run:,} instructions "
             f"({spurious} spurious transitions)")
+
+
+#: Backend options that only an in-process caller can supply: the first
+#: three carry objects (programs, a checkpoint blob, a MachineConfig),
+#: the rest name the dispatcher's own parameters.
+_IN_PROCESS_OPTIONS = ("processes", "warm_checkpoint", "config", "backend",
+                       "record_fingerprints", "default_step")
+
+
+def check_backend_options(options: dict) -> None:
+    """Refuse backend options that came from outside the process (the
+    wire's ``open-session``, the ``backend`` verb) and cannot mean what
+    they say: ``detailed_timing`` must be a bool, ``quantum`` an int
+    >= 0, and :data:`_IN_PROCESS_OPTIONS` are refused.  Raises
+    :class:`CommandError` (``bad-request``) before anything is built.
+    """
+    for key, value in options.items():
+        if key in _IN_PROCESS_OPTIONS:
+            raise CommandError(f"backend option {key!r} is only for "
+                               f"in-process callers")
+        if key == "detailed_timing" and type(value) is not bool:
+            raise CommandError(f"detailed_timing must be true or false, "
+                               f"not {value!r}")
+        if key == "quantum" and (type(value) is not int or value < 0):
+            raise CommandError(f"quantum must be an integer >= 0, "
+                               f"not {value!r}")
 
 
 def parse_option_value(text: str) -> Any:

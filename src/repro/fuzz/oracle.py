@@ -97,7 +97,6 @@ class StopRecorder:
     """
 
     def __init__(self, backend):
-        self.backend = backend
         self.stops: list[Stop] = []
         memory = backend.machine.memory
         resolver = backend.resolver

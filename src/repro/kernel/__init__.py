@@ -12,13 +12,14 @@ checkpoint boundary), so preemption points land between instructions at
 deterministic application-instruction counts on every interpreter tier,
 at zero per-instruction cost.  The kernel itself is host code — it
 services the latched trap cause between slices, swaps per-process
-state by object reference (:class:`ProcessContext`), and re-gates the
-DISE engine so productions targeting one process are never even
-probed by another (cross-process debugging with near-zero overhead on
-the non-target, paper Section 3's permission policy made mechanical).
+state by object reference (:class:`ProcessContext`, defined next to the
+machine in :mod:`repro.cpu.process`), and re-gates the DISE engine so
+productions targeting one process are never even probed by another
+(cross-process debugging with near-zero overhead on the non-target,
+paper Section 3's permission policy made mechanical).
 """
 
-from repro.kernel.process import ProcessContext
+from repro.cpu.process import ProcessContext
 from repro.kernel.scheduler import DEFAULT_QUANTUM, Kernel
 
 __all__ = ["DEFAULT_QUANTUM", "Kernel", "ProcessContext"]

@@ -11,13 +11,16 @@ Scheduling is deterministic: quanta are measured in *application
 instructions* (the machine clips run slices to the timer deadline), so
 a workload preempts at identical points on the table, legacy, and
 compiled interpreter tiers, and a re-run from a checkpoint re-lands
-every context switch exactly.
+every context switch exactly.  The machine owns its kernel; the kernel
+holds the machine weakly, so the pair is freed as soon as its owner
+drops the machine.
 
 On each switch the kernel:
 
-* swaps per-process state by reference (:class:`ProcessContext`),
-  including the per-process compiled-code tier — block caches survive
-  being descheduled;
+* swaps per-process state by reference (:class:`ProcessContext`: the
+  fields :data:`repro.cpu.process.PROCESS_FIELDS` names), including
+  the per-process compiled-code tier — block caches survive being
+  descheduled;
 * charges the timing model a pipeline flush + TLB shootdown;
 * re-gates the DISE engine (``DiseController.context_switch``) so
   productions targeting the outgoing process are lifted out of the
@@ -28,13 +31,15 @@ On each switch the kernel:
 from __future__ import annotations
 
 import hashlib
+import weakref
 from typing import TYPE_CHECKING, Union
 
+from repro.cpu import process
 from repro.cpu.machine import (CAUSE_SYSCALL, CAUSE_TIMER, SYS_EXIT,
                                SYS_GETPID, SYS_YIELD)
+from repro.cpu.process import ProcessContext
 from repro.errors import SimulationError
 from repro.isa.program import Program
-from repro.kernel.process import ProcessContext
 
 if TYPE_CHECKING:
     from repro.cpu.machine import Machine
@@ -51,7 +56,9 @@ class Kernel:
     def __init__(self, machine: "Machine", quantum: int = DEFAULT_QUANTUM):
         if quantum < 0:
             raise ValueError(f"quantum {quantum} must be >= 0")
-        self.machine = machine
+        # The machine owns its kernel; held weakly, the pair is not a
+        # reference cycle and a dropped session frees both at once.
+        self._machine = weakref.ref(machine)
         self.quantum = quantum  # 0 = cooperative (yield/exit only)
 
         # pid 1 is the machine's already-loaded program.  Contexts are
@@ -92,7 +99,7 @@ class Kernel:
         if any(ctx.name == name for ctx in self._contexts.values()):
             name = f"{name}#{pid}"
         ctx = ProcessContext.fresh(pid, name, program,
-                                   self.machine.config.page_bytes)
+                                   self._machine().config.page_bytes)
         self._contexts[pid] = ctx
         self._queue.append(pid)
         self._proc_instructions[pid] = 0
@@ -115,7 +122,7 @@ class Kernel:
         """
         ctx = self._lookup(key)
         if ctx.pid == self._current:
-            ctx.save_from(self.machine)
+            ctx.save_from(self._machine())
         return ctx
 
     def process_stats(self, key: Union[int, str]) -> tuple[int, float]:
@@ -142,7 +149,7 @@ class Kernel:
         """Drive the machine until every process halts (or the
         machine-wide application-instruction ``limit`` is reached, or a
         debugger stop hands control to the user)."""
-        m = self.machine
+        m = self._machine()
         while True:
             if m.halted:
                 if not self._reap_current():
@@ -163,7 +170,7 @@ class Kernel:
 
     def _service(self, cause: int) -> None:
         """Handle a trap latched for the host (no guest trap vector)."""
-        m = self.machine
+        m = self._machine()
         if cause == CAUSE_TIMER:
             self.preemptions += 1
             m.kernel_mode = False
@@ -187,7 +194,7 @@ class Kernel:
 
     def _switch(self) -> None:
         """End the current quantum; schedule the next runnable process."""
-        m = self.machine
+        m = self._machine()
         if len(self._queue) <= 1:
             m.timer_deadline = -1  # sole runnable process: fresh quantum
             return
@@ -199,7 +206,7 @@ class Kernel:
         """The current process halted: retire it.  Returns False when
         no runnable process remains (the machine stays halted)."""
         self._account_slice()
-        m = self.machine
+        m = self._machine()
         pid = self._queue.pop(0) if self._queue else self._current
         self._contexts[pid].save_from(m)  # final state, halted=True
         if not self._queue:
@@ -208,7 +215,7 @@ class Kernel:
         return True
 
     def _activate(self, ctx: ProcessContext, save_current: bool) -> None:
-        m = self.machine
+        m = self._machine()
         if save_current:
             self._contexts[self._current].save_from(m)
         ctx.load_into(m)
@@ -222,7 +229,7 @@ class Kernel:
     # -- accounting --------------------------------------------------------
 
     def _machine_cycles(self) -> float:
-        m = self.machine
+        m = self._machine()
         if m.timing is not None:
             return m.timing.cycles
         return float(m.stats.total_instructions)
@@ -230,7 +237,7 @@ class Kernel:
     def _account_slice(self) -> None:
         """Charge the machine's progress since the last boundary to the
         current process.  Idempotent (the delta drops to zero)."""
-        app = self.machine.stats.app_instructions
+        app = self._machine().stats.app_instructions
         cycles = self._machine_cycles()
         self._proc_instructions[self._current] += app - self._slice_start_app
         self._proc_cycles[self._current] += cycles - self._slice_start_cycles
@@ -241,8 +248,7 @@ class Kernel:
     #
     # The kernel snapshots *inside* Machine.snapshot(): scheduler state
     # plus every inactive context.  The current process's state is the
-    # machine's and rides in the machine-level fields; pre_restore
-    # realigns the live context before the machine restores into it.
+    # machine's and rides in the machine's own per-process fields.
 
     def snapshot(self) -> dict:
         """Scheduler state plus every inactive process context."""
@@ -251,7 +257,7 @@ class Kernel:
             "current": self._current,
             "queue": list(self._queue),
             "next_pid": self._next_pid,
-            "contexts": {pid: ctx.snapshot()
+            "contexts": {pid: process.snapshot(ctx)
                          for pid, ctx in self._contexts.items()
                          if pid != self._current},
             "accounting": (dict(self._proc_instructions),
@@ -262,25 +268,24 @@ class Kernel:
                          self.syscalls),
         }
 
-    def pre_restore(self, blob: dict) -> None:
-        """Phase 1 of restore: make the snapshot's current process the
-        live one, by raw reference swap.
+    def restore(self, blob: dict) -> None:
+        """Rewind the schedule and every inactive process.
 
-        No timing charge, no DISE re-gating — the machine-level restore
-        that follows overwrites timing and engine state wholesale from
-        the snapshot, which captured them already gated for this
-        process.
+        Runs first in :meth:`Machine.restore`: the snapshot's current
+        process becomes the live one by raw reference swap, so the
+        machine's per-process fields then restore into its memory and
+        page table.  No timing charge and no DISE re-gating — the
+        machine restores timing and engine state wholesale from the
+        snapshot, which captured them already gated for this process.
         """
         target = blob["current"]
         if target != self._current:
-            self._contexts[self._current].save_from(self.machine)
-            self._contexts[target].load_into(self.machine)
+            m = self._machine()
+            self._contexts[self._current].save_from(m)
+            self._contexts[target].load_into(m)
             self._current = target
-
-    def post_restore(self, blob: dict) -> None:
-        """Phase 2: restore inactive contexts and scheduler state."""
         for pid, ctx_blob in blob["contexts"].items():
-            self._contexts[pid].restore(ctx_blob)
+            process.restore(self._contexts[pid], ctx_blob)
         self._queue = list(blob["queue"])
         self._next_pid = blob["next_pid"]
         (instructions, cycles, slice_app, slice_cycles) = blob["accounting"]

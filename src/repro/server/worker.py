@@ -25,7 +25,7 @@ from typing import Optional
 
 from repro.config import INTERPRETERS
 from repro.debugger.dispatcher import (DEFAULT_STEP, CommandDispatcher,
-                                       CommandError)
+                                       CommandError, check_backend_options)
 from repro.errors import ReproError
 from repro.replay.reverse import ReplayDivergenceError
 from repro.server import protocol
@@ -94,6 +94,7 @@ def _open_session(envelope: dict) -> dict:
     options = args.get("options") or {}
     if not isinstance(options, dict):
         raise CommandError("open-session 'options' must be an object")
+    check_backend_options(options)
     dispatcher = CommandDispatcher(
         program,
         backend=args.get("backend", "dise"),

@@ -3,8 +3,9 @@
 A backend owns its machine, and nothing the machine holds points back
 at the backend strongly: the trap handler and the checkpoint function
 hold it weakly, the dispatch table is class-level, and the compiled
-tier holds the machine weakly.  So the moment a session's owner drops
-it, the backend, the machine and its timing model are freed.  Waiting
+tier and the kernel hold the machine weakly.  So the moment a session's
+owner drops it, the backend, the machine and its timing model are
+freed.  The same holds for the oracle's debugged runs.  Waiting
 for the cycle collector instead lets dead sessions pile up, because a
 workload that allocates few containers triggers few collections.
 
@@ -26,11 +27,14 @@ from repro.cpu.timing import TimingModel
 from repro.debugger.backends import BACKENDS
 from repro.debugger.backends.base import DebuggerBackend
 from repro.debugger.dispatcher import CommandDispatcher
+from repro.debugger.session import Session
 from repro.harness.experiment import (CellSpec, ExperimentSettings,
                                       execute_spec)
 from repro.server.client import DebugClient
 from repro.server.server import ServerConfig, ServerThread
+from repro.workloads import conformance
 from repro.workloads.benchmarks import build_benchmark
+from repro.workloads.corpus import programs_corpus, system_corpus
 
 #: Stops at 1,140 instructions; the ``continue`` crosses the 10,000-
 #: instruction checkpoint boundary, so the script takes a periodic
@@ -89,6 +93,30 @@ def test_finished_harness_cell_frees_its_machines(built):
     with _without_cycle_collector():
         execute_spec(CellSpec.make("bzip2", "hot", "dise"), settings)
         assert len(built) >= 3
+        assert _alive(built) == []
+
+
+def test_dropped_multi_process_session_frees_its_machine(built):
+    entries = system_corpus()
+    with _without_cycle_collector():
+        session = Session(entries.entry("yield").build(), backend="dise",
+                          processes=[entries.entry("preempt").build()],
+                          quantum=2_000)
+        session.watch("progress")
+        assert session.run().halted
+        assert "Machine" in _alive(built)
+        del session
+        assert _alive(built) == []
+
+
+def test_conformance_check_frees_its_machines(built):
+    """Every debugged run of the oracle's matrix interposes a stop
+    recorder on the machine's trap handler; it must not hold the
+    backend."""
+    entry = programs_corpus().entry("fib")
+    with _without_cycle_collector():
+        report = conformance.check_entry(entry)
+        assert report.ok and report.runs == 18
         assert _alive(built) == []
 
 

@@ -68,7 +68,7 @@ def test_machine_snapshot_mid_quantum_replays_the_schedule(tier):
 
 def test_restore_relands_while_the_other_process_is_live():
     """Snapshot while pid 1 runs, restore after the machine has moved
-    on to pid 2: pre_restore must swap the live context back first."""
+    on to pid 2: Kernel.restore must swap the live context back first."""
     machine = Machine(worker(400), TABLE)
     kernel = Kernel(machine, quantum=100)
     kernel.spawn(worker(300))

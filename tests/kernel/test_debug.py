@@ -142,7 +142,7 @@ def test_compiled_tier_keeps_per_process_block_caches(monkeypatch):
     assert not flushes  # no block cache was ever dropped
     for pid in (1, 2):
         ctx = backend.kernel.process_state(pid)
-        assert ctx.compiled is not None and ctx.compiled.blocks
+        assert ctx._compiled is not None and ctx._compiled.blocks
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.debugger.dispatcher import CommandDispatcher
 from repro.isa import assemble
-from repro.server import protocol
+from repro.server import protocol, worker
 from repro.server.client import ServerError
 from repro.server.server import DebugServer, ServerConfig
 from tests.server.conftest import (connected, count_asm, run_async,
@@ -103,6 +103,51 @@ def test_failed_open_returns_admission_token(tmp_path):
                 # The rejected open must not leak the only token.
                 sid = await client.open_session(asm=count_asm(10))
                 assert sid
+
+    run_async(scenario())
+
+
+#: Backend options a remote client may not send: (open-session options,
+#: or None) and (``backend`` verb arguments, or None).
+BAD_OPTIONS = (
+    ({"quantum": -1}, None),
+    ({"quantum": "5"}, None),
+    ({"quantum": True}, None),
+    ({"detailed_timing": "no"}, None),
+    ({"processes": ["gcc"]}, None),
+    ({"warm_checkpoint": 3}, None),
+    ({"config": "x"}, None),
+    ({"default_step": 5}, None),
+    ({"record_fingerprints": True}, None),
+    ({"backend": "hardware"}, None),
+    (None, ["dise", "quantum=-1"]),
+    (None, ["dise", "detailed_timing=no"]),
+    (None, ["hardware", "config=x"]),
+)
+
+
+def test_wire_backend_options_are_bad_requests(server_config):
+    """Options arriving from outside are checked before any session or
+    backend is built: each case is a bad request that leaves the
+    worker's session count, and an open session's backend, unchanged."""
+    async def scenario():
+        async with running_server(server_config) as server:
+            async with connected(server) as client:
+                sid = await client.open_session(asm=count_asm(10))
+                for options, verb_args in BAD_OPTIONS:
+                    sessions = worker.session_count()
+                    with pytest.raises(ServerError) as excinfo:
+                        if options is not None:
+                            await client.open_session(asm=count_asm(10),
+                                                      options=options)
+                        else:
+                            await client.command(sid, "backend", verb_args)
+                    assert excinfo.value.code == protocol.BAD_REQUEST, \
+                        (options, verb_args)
+                    assert worker.session_count() == sessions
+                info = await client.command(sid, "info", ["backend"])
+                assert (info["backend"], info["options"]) == ("dise", {})
+                assert (await client.command(sid, "run"))["halted"]
 
     run_async(scenario())
 
