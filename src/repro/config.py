@@ -36,7 +36,6 @@ class CacheConfig:
     size_bytes: int
     associativity: int
     line_bytes: int = 64
-    hit_latency: int = 1
 
     def __post_init__(self) -> None:
         if self.size_bytes % (self.associativity * self.line_bytes):
@@ -70,7 +69,6 @@ class DiseConfig:
 
     pattern_table_entries: int = 32
     replacement_table_instructions: int = 512
-    replacement_table_ways: int = 2
     num_dise_registers: int = 16
 
 
@@ -81,15 +79,12 @@ class PipelineConfig:
     commit_width: int = 4
     load_ports: int = 2
     store_ports: int = 1
-    pipeline_depth: int = 12
-    rob_entries: int = 128
     # Flush penalty: a pipeline flush costs a refill of the front end.
     flush_penalty: int = 12
     # Fraction of a long-latency miss that out-of-order execution hides.
     # These are first-order stand-ins for a full OoO model; see DESIGN.md.
     l2_hit_overlap: float = 0.7
     memory_overlap: float = 0.4
-    dependent_load_overlap: float = 0.0
 
 
 @dataclass(frozen=True)

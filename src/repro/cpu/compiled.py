@@ -3,7 +3,7 @@
 The dispatch-table interpreter pays per-instruction overhead that has
 nothing to do with the instruction itself: the run-limit and stop
 checks, the expansion-state test, the fetch bounds check, the DISE
-candidate probes, the observer test, and the handler dispatch.  This
+candidate probes, and the handler dispatch.  This
 tier hoists all of it out of the instruction stream, in the style of a
 dynamic binary translator: decoded basic blocks are compiled — once —
 into specialized Python functions ("superinstructions") that execute
@@ -14,7 +14,7 @@ Division of labor (the fast path pays for nothing it does not use):
 
 * Every per-run condition that would change per-instruction semantics —
   an active expansion, a DISE-called function, breakpoint registers,
-  single-stepping, an instruction observer — routes execution to
+  or single-stepping — routes execution to
   :meth:`CompiledTier._step`, which runs the *table* interpreter for
   exactly one application instruction.  The compiled tier therefore
   never re-implements trap delivery, expansion control flow, or stop
@@ -358,8 +358,7 @@ class CompiledTier:
             if self._text_version is None or self._stale():
                 self._capture()
             if (m._expansion is not None or m._in_dise_function
-                    or m.breakpoint_registers or m.single_step
-                    or m.instruction_observer is not None):
+                    or m.breakpoint_registers or m.single_step):
                 step()
                 continue
             blocks = self.blocks

@@ -200,10 +200,6 @@ class Machine:
         # Optional store observer (used for workload characterization).
         self.store_observer: Optional[Callable[[int, int, int, int], None]] = None
 
-        # Optional per-instruction observer (used by the tracer):
-        # callable(pc, disepc, instruction, is_dise_inserted).
-        self.instruction_observer = None
-
         # Interactive mode: pause execution when a trap classifies as a
         # user transition (the debugger hands control to the user).
         self.stop_on_user = False
@@ -297,10 +293,6 @@ class Machine:
         for index in range(first, last + 1):
             if 0 <= index < len(text):
                 text[index].decoded = None
-
-    def load_appended_data(self) -> None:
-        """Write initializers of data items appended after construction."""
-        process.load_data(self)
 
     def reset_stats(self) -> None:
         """Start a fresh measurement interval (e.g. after warm-up).
@@ -699,10 +691,6 @@ class Machine:
                                 d = inst.decode()
                             is_dise = True
 
-            observer = self.instruction_observer
-            if observer is not None:
-                observer(self.pc, self._exp_index if is_dise else 0, inst,
-                         is_dise)
             if d.opclass is nop_class and free_nops:
                 stats.nops_elided += 1
                 self._advance()
@@ -1108,10 +1096,6 @@ class Machine:
     def _execute(self, inst: Instruction, is_dise: bool, stats, timing,
                  regs, memory, pagetable, free_nops: bool) -> None:
         """Execute one instruction and update fetch state (legacy path)."""
-        observer = self.instruction_observer
-        if observer is not None:
-            observer(self.pc, self._exp_index if is_dise else 0, inst,
-                     is_dise)
         opclass = inst.info.opclass
         opcode = inst.opcode
 

@@ -19,7 +19,7 @@ produces a cycle count.  Charged effects, all configurable through
   in Figure 5.
 * **Flushes** — branch mispredictions, taken DISE branches, DISE
   call/return, and trap delivery flush the pipeline
-  (``pipeline_depth`` cycles of refill).
+  (``flush_penalty`` cycles of refill).
 * **Debugger transitions** — spurious transitions flush and stall
   100,000 cycles (paper methodology); user transitions are free.
 * **Multithreaded DISE calls** — in MT mode (Figure 8) the call/return

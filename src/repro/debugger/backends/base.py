@@ -11,7 +11,7 @@ kinds (which the timing model then charges).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.config import MachineConfig, DEFAULT_CONFIG
 from repro.cpu.machine import Machine, TrapEvent, WeakBoundMethod
@@ -134,23 +134,6 @@ class DebuggerBackend:
         if bp.condition.evaluate(self.resolver, self.machine.memory):
             return TransitionKind.USER
         return TransitionKind.SPURIOUS_PREDICATE
-
-    def overlapping_watchpoints(
-            self, address: int, size: int,
-            candidates: Optional[Iterable[Watchpoint]] = None,
-    ) -> list[Watchpoint]:
-        """Watchpoints whose watched bytes overlap [address, address+size)."""
-        hits = []
-        end = address + size
-        for wp in (candidates if candidates is not None else self.watchpoints):
-            if not wp.enabled:
-                continue
-            for lo, length in wp.expression.addresses(self.resolver,
-                                                      self.machine.memory):
-                if address < lo + length and end > lo:
-                    hits.append(wp)
-                    break
-        return hits
 
     def classify_store_hit(self, hits: Sequence[Watchpoint]) -> TransitionKind:
         """Classify a store that overlapped watched data.

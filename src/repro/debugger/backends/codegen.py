@@ -161,14 +161,6 @@ class DebugCodeGenerator:
                     f"cannot generate code for expression {expr}")
             self.entries.append(entry)
 
-    @property
-    def has_indirect(self) -> bool:
-        return any(e.kind == "indirect" for e in self.entries)
-
-    @property
-    def has_range(self) -> bool:
-        return any(e.kind == "range" for e in self.entries)
-
     def watched_quads(self, memory: MainMemory) -> set[int]:
         """All quad numbers currently covered by the watch set."""
         quads: set[int] = set()
@@ -267,17 +259,6 @@ class DebugCodeGenerator:
     def entry_addr(self, entry: WatchEntry, field_index: int = 0) -> int:
         """Absolute address of ``entry``'s field ``field_index``."""
         return self.data_base + entry.offset + field_index * QUAD
-
-    def set_bloom_quad(self, memory: MainMemory, quad: int) -> None:
-        """Debugger-side Bloom maintenance (e.g. pointer retargeting)."""
-        if not self.uses_bloom:
-            return
-        if self.bloom_bitwise:
-            bit = quad & (BLOOM_BYTES * 8 - 1)
-            addr = self.bloom_base + (bit >> 3)
-            memory.write_int(addr, 1, memory.read_int(addr, 1) | (1 << (bit & 7)))
-        else:
-            memory.write_int(self.bloom_base + (quad & (BLOOM_BYTES - 1)), 1, 1)
 
     # -- the debugger-generated function (Figure 2e) ---------------------------
 

@@ -153,10 +153,6 @@ class Indirect(Expression):
         self.pointer = pointer
         self.size = size
 
-    def pointer_address(self, resolver) -> tuple[int, int]:
-        """Resolve the pointer variable's own (address, size)."""
-        return resolver.resolve(self.pointer)
-
     def addresses(self, resolver, memory=None):
         """The storage currently pointed to (requires ``memory``)."""
         if memory is None:

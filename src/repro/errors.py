@@ -22,28 +22,8 @@ class AssemblyError(ReproError):
         super().__init__(message)
 
 
-class EncodingError(ReproError):
-    """Raised when an instruction cannot be encoded or decoded."""
-
-
 class MemoryError_(ReproError):
     """Raised on invalid memory accesses (unmapped, misaligned, ...)."""
-
-
-class PageFault(ReproError):
-    """Raised/delivered when a protected page is accessed.
-
-    Carries enough information for a fault handler (e.g. the
-    virtual-memory watchpoint backend) to identify and service the
-    faulting access.
-    """
-
-    def __init__(self, address: int, is_store: bool, pc: int):
-        self.address = address
-        self.is_store = is_store
-        self.pc = pc
-        kind = "write" if is_store else "read"
-        super().__init__(f"page fault: {kind} to {address:#x} at pc={pc:#x}")
 
 
 class SimulationError(ReproError):

@@ -430,11 +430,6 @@ def _render_epilogue(b: CodeBuilder, spec: ProgramSpec) -> None:
     b.stq(R_SUM_A, "checksum")
 
 
-def static_instruction_count(spec: ProgramSpec) -> int:
-    """Static length of the rendered text segment."""
-    return len(build_program(spec).instructions)
-
-
 def dynamic_budget(spec: ProgramSpec) -> int:
     """A safe application-instruction cap for one run of ``spec``.
 

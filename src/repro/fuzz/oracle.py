@@ -142,10 +142,6 @@ class RunOutcome:
     error: Optional[str] = None
     fingerprint: str = ""  # Machine.state_fingerprint (checkpoint legs)
 
-    @property
-    def arch_state(self) -> tuple:
-        return (self.halted, self.regs, self.state)
-
 
 @dataclass
 class Divergence:

@@ -7,7 +7,6 @@ This package defines the ISA simulated throughout the reproduction:
 * :mod:`repro.isa.registers` -- architectural and DISE register names.
 * :mod:`repro.isa.instruction` -- the :class:`Instruction` record and
   disassembly.
-* :mod:`repro.isa.encoding` -- binary encode/decode of instructions.
 * :mod:`repro.isa.assembler` -- a two-pass textual assembler.
 * :mod:`repro.isa.builder` -- a programmatic code builder used by the
   synthetic workload generator.
@@ -38,7 +37,6 @@ from repro.isa.instruction import Instruction
 from repro.isa.program import Program, DataItem, Symbol, TEXT_BASE, DATA_BASE, STACK_TOP
 from repro.isa.assembler import assemble, assemble_program
 from repro.isa.builder import CodeBuilder
-from repro.isa.encoding import encode_instruction, decode_instruction
 
 __all__ = [
     "Opcode",
@@ -65,6 +63,4 @@ __all__ = [
     "assemble",
     "assemble_program",
     "CodeBuilder",
-    "encode_instruction",
-    "decode_instruction",
 ]

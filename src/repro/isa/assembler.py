@@ -175,10 +175,6 @@ class _Assembler:
 
     # -- completion ------------------------------------------------------------
 
-    @property
-    def _finished(self) -> bool:  # pragma: no cover - debugging aid
-        return True
-
     def flush_data(self) -> None:
         for label in self._data_order:
             blob = b"".join(self._data_parts[label])

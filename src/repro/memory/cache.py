@@ -65,10 +65,6 @@ class SetAssociativeCache:
         """Bytes covered by one tag."""
         return config.line_bytes
 
-    def line_of(self, address: int) -> int:
-        """Line number containing ``address``."""
-        return address >> self._line_shift
-
     def access(self, address: int) -> bool:
         """Probe the cache; fill on miss.  Returns True on hit."""
         line = address >> self._line_shift

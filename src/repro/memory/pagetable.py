@@ -17,8 +17,6 @@ hardware/OS split.
 
 from __future__ import annotations
 
-from repro.config import MachineConfig
-
 PAGE_READ = 1
 PAGE_WRITE = 2
 
@@ -41,10 +39,6 @@ class PageTable:
         # page number -> protection bits; absent means READ|WRITE.
         self._protections: dict[int, int] = {}
         self.any_protected = False
-
-    @classmethod
-    def from_config(cls, config: MachineConfig) -> "PageTable":
-        return cls(config.page_bytes)
 
     # -- protection manipulation (the debugger's mprotect interface) --------
 
@@ -74,11 +68,6 @@ class PageTable:
         else:
             self._protections[page] = protection
         self.any_protected = bool(self._protections)
-
-    def protection_of(self, address: int) -> int:
-        """Current protection bits of the page holding ``address``."""
-        return self._protections.get(self.page_number(address),
-                                     PAGE_READ | PAGE_WRITE)
 
     def clear(self) -> None:
         """Restore read+write on every page."""

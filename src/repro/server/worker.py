@@ -20,6 +20,7 @@ configuration state that could go stale across pool restarts.
 
 from __future__ import annotations
 
+import inspect
 import os
 from typing import Optional
 
@@ -181,6 +182,14 @@ def _experiment(envelope: dict) -> dict:
     options = args.get("options") or {}
     if not isinstance(options, dict):
         raise CommandError("experiment 'options' must be an object")
+    check_backend_options(options)
+    # The cell's own parameters (cls included) come from the frame's
+    # other fields; inside ``options`` they would collide with those or
+    # silently replace them.
+    for name in inspect.signature(CellSpec.make.__func__).parameters:
+        if name in options:
+            raise CommandError(f"experiment option {name!r} is a cell "
+                               f"parameter, not a backend option")
     measure, warmup = experiment_budgets(args)
     interpreter = args.get("interpreter")
     if interpreter is not None and interpreter not in INTERPRETERS:

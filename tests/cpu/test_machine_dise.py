@@ -11,7 +11,7 @@ from repro.errors import SimulationError
 from repro.isa import assemble
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
-from repro.isa.registers import SP, dise_reg
+from repro.isa.registers import RA, SP, ZERO_REG, dise_reg
 
 DR0, DR1, DR2 = dise_reg(0), dise_reg(1), dise_reg(2)
 
@@ -215,6 +215,54 @@ def test_conventional_branch_in_sequence_abandons_expansion():
     machine.run()
     assert machine.regs[9] == 2
     assert machine.stats.traps == 0
+
+
+def test_call_and_return_triggers():
+    """A shadow stack's shape: the call's expansion stores the trigger's
+    address (T.PC) with an inserted store that no store pattern expands
+    again, the re-emitted call still links to its own pc + 4, and a
+    ctrap ahead of a return fires before the return executes."""
+    program = assemble("""
+    .data
+    shadow: .quad 0
+    .text
+    main:
+        jsr ra, helper
+        lda r9, 1
+        halt
+    helper:
+        ret (ra)
+    """)
+    shadow = program.address_of("shadow")
+    call_pc = program.pc_of_label("main")
+    push = Production(
+        Pattern(opcode=Opcode.JSR),
+        [template(Opcode.LDA, rd=DR1, rs1=ZERO_REG, imm=T.PC),
+         template(Opcode.STQ, rd=DR1, rs1=ZERO_REG, imm=shadow),
+         original()],
+        name="push")
+    check = Production(Pattern(opcode=Opcode.RET),
+                       [template(Opcode.CTRAP, rs1=DR2), original()],
+                       name="check")
+    count = Production(
+        Pattern.stores(),
+        [original(), template(Opcode.ADDQ, rd=DR0, rs1=DR0, imm=1)],
+        name="count-stores")
+    for armed in (False, True):
+        traps = []
+        machine = Machine(program, trap_handler=lambda e: traps.append(e)
+                          or TransitionKind.USER)
+        for production in (push, check, count):
+            machine.dise_controller.install(production)
+        machine.dise_regs.write(2, int(armed))
+        machine.run()
+        assert machine.halted
+        assert machine.memory.read_int(shadow, 8) == call_pc
+        assert machine.dise_regs.read(0) == 0
+        assert machine.regs[RA] == call_pc + 4
+        assert machine.regs[9] == 1
+        assert [t.pc for t in traps] == (
+            [program.pc_of_label("helper")] if armed else [])
 
 
 def test_identity_production_overrides_generic():

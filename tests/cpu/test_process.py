@@ -18,7 +18,7 @@ from repro.kernel import Kernel
 #: Machine attributes shared by every process on the machine.
 MACHINE_WIDE = frozenset({
     "config", "stats", "timing", "dise_engine", "dise_controller",
-    "dise_regs", "trap_handler", "store_observer", "instruction_observer",
+    "dise_regs", "trap_handler", "store_observer",
     "stop_on_user", "stopped_at_user",
     "kernel_mode", "trap_vector", "trap_cause", "trap_epc", "trap_value",
     "pending_trap", "timer_quantum", "timer_deadline",

@@ -3,7 +3,7 @@
 from repro.dise.engine import DiseEngine
 from repro.dise.pattern import Pattern
 from repro.dise.production import Production, identity_production
-from repro.dise.template import original, template
+from repro.dise.template import T, original, template
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import SP, dise_reg
@@ -77,6 +77,16 @@ def test_generic_bucket():
                          0) is not None
     assert engine.expand(Instruction(Opcode.ADDQ, rd=4, rs1=1, rs2=2),
                          0) is None
+    # An opcode pattern is generic too; the engine hands the trigger's
+    # fetch address to T.PC.
+    engine.add(Production(
+        Pattern(opcode=Opcode.JSR),
+        [template(Opcode.LDA, rd=dise_reg(1), rs1=31, imm=T.PC),
+         original()], name="at-call"))
+    call = Instruction(Opcode.JSR, rd=26, target=0x2000)
+    assert engine.expand(call, 0x1040) == [
+        Instruction(Opcode.LDA, rd=dise_reg(1), rs1=31, imm=0x1040), call]
+    assert engine.expand(Instruction(Opcode.RET, rs1=26), 0x1040) is None
 
 
 def test_remove_production():

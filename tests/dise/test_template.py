@@ -54,6 +54,20 @@ def test_rd_rs2_directives():
     assert (result.rs1, result.rs2) == (1, 3)
 
 
+def test_pc_directive_fills_the_fetch_address():
+    """T.PC is the trigger's fetch address, in immediate and target
+    fields; a slot using it is instantiated afresh at every PC."""
+    slot = template(Opcode.LDA, rd=dise_reg(1), rs1=31, imm=T.PC)
+    first = slot.instantiate(TRIGGER, pc=0x1040)
+    assert first == Instruction(Opcode.LDA, rd=dise_reg(1), rs1=31,
+                                imm=0x1040)
+    assert slot.instantiate(TRIGGER, pc=0x2000).imm == 0x2000
+    jump = template(Opcode.BR, target=T.PC)
+    assert jump.instantiate(TRIGGER, pc=0x1040).target == 0x1040
+    with pytest.raises(DiseError):
+        template(Opcode.ADDQ, rd=T.PC, rs1=1, imm=0).instantiate(TRIGGER)
+
+
 def test_literal_fields_pass_through():
     slot = template(Opcode.CTRAP, rs1=dise_reg(2))
     assert slot.instantiate(TRIGGER).rs1 == dise_reg(2)

@@ -120,10 +120,22 @@ def test_decode_table_is_bounded_by_the_isa():
     session.watch("hot")
     seen: list[Instruction] = []
     backend = session.build_backend()
-    backend.machine.instruction_observer = (
-        lambda pc, disepc, inst, is_dise: is_dise and seen.append(inst))
+    engine = backend.machine.dise_engine
+    expand = engine.expand
+
+    def recording_expand(inst, pc):
+        seq = expand(inst, pc)
+        if seq is not None:
+            seen.extend(seq)
+        return seq
+
+    engine.expand = recording_expand
     backend.run(20_000)
-    assert seen and all(inst.decoded is not None for inst in seen)
+    # A sequence may hold slots that a taken DISE branch skipped; decode
+    # them all so every instantiated replacement counts against the bound.
+    assert seen
+    for inst in seen:
+        inst.decode()
     per_opcode = Counter(opcode for opcode, _, _ in DECODED)
     assert max(per_opcode.values()) <= 4
     assert all(record.fast_regs == fast

@@ -217,8 +217,9 @@ def test_experiment_is_served_cache_first(server_config):
 
 
 def test_experiment_rejects_malformed_cells(tmp_path):
-    """Budgets must be JSON integers and tiers exact names: nothing is
-    coerced into a cell the client did not ask for."""
+    """Budgets must be JSON integers, tiers exact names and options
+    backend options: nothing is coerced into a cell the client did not
+    ask for."""
     async def scenario():
         config = thread_config(tmp_path, max_command_instructions=10_000)
         async with running_server(config) as server:
@@ -232,12 +233,29 @@ def test_experiment_rejects_malformed_cells(tmp_path):
                          protocol.BAD_REQUEST),
                         ({"measure": 100, "interpreter": 42},
                          protocol.BAD_REQUEST),
+                        # Backend options are checked as at open-session,
+                        # and the cell's own parameters cannot hide in
+                        # them.
+                        *(({"measure": 100, "options": options},
+                           protocol.BAD_REQUEST) for options in (
+                            {"quantum": -1}, {"processes": ["gcc"]},
+                            {"config": 5}, {"detailed_timing": "no"},
+                            {"settings_override": 3}, {"conditional": True},
+                            {"interpreter": "compiled"}, {"label": "x"},
+                            {"watch_expressions": ["hot"]},
+                            {"workload_digest": "0"}, {"kind": "COLD"},
+                            {"benchmark": "gcc"}, {"cls": 1})),
                         # The default budgets (10,000 + 5,000) count.
                         ({}, protocol.OVER_BUDGET)):
                     with pytest.raises(ServerError) as excinfo:
                         await client.request("experiment",
                                              {"benchmark": "mcf", **extra})
                     assert excinfo.value.code == code, extra
+                # Unknown keys are accepted, as at open-session.
+                reply = await client.request(
+                    "experiment", {"benchmark": "mcf", "measure": 100,
+                                   "options": {"bogus": 1}})
+                assert reply["result"]["result"]["backend"] == "dise"
 
     run_async(scenario())
 

@@ -11,7 +11,6 @@ from repro.config import (CacheConfig, DebugCostConfig, DiseConfig,
 def test_defaults_match_paper_machine():
     config = MachineConfig()
     assert config.pipeline.commit_width == 4
-    assert config.pipeline.rob_entries == 128
     assert config.icache.size_bytes == 32 * 1024
     assert config.icache.associativity == 2
     assert config.l2.size_bytes == 1024 * 1024

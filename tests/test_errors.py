@@ -21,14 +21,6 @@ def test_assembly_error_carries_line_number():
     assert bare.line_number is None
 
 
-def test_page_fault_context():
-    fault = errors.PageFault(address=0x2000, is_store=True, pc=0x1004)
-    assert fault.address == 0x2000
-    assert "write" in str(fault)
-    load_fault = errors.PageFault(address=0x2000, is_store=False, pc=0)
-    assert "read" in str(load_fault)
-
-
 def test_specialized_hierarchy():
     assert issubclass(errors.DiseCapacityError, errors.DiseError)
     assert issubclass(errors.DisePermissionError, errors.DiseError)
