@@ -252,23 +252,25 @@ class Machine:
     def reload_text(self) -> None:
         """Re-read the program's instruction list (after appends).
 
-        Bumps the code version: compiled blocks and decode records that
-        predate the reload must not survive it.  Every instruction's
-        ``decoded`` cache is dropped (re-decoded lazily) because the
-        caller may have rewritten instruction fields in place — the
-        machine cannot tell which slots changed.
+        Bumps the code version: compiled blocks, decode records and
+        built DISE sequences that predate the reload must not survive
+        it.  Every instruction's ``decoded`` cache is dropped (re-decoded
+        lazily) because the caller may have rewritten instruction fields
+        in place — the machine cannot tell which slots changed.
         """
         for inst in self.program.instructions:
             inst.decoded = None
         process.load_text(self)
         self.text_version += 1
+        self.dise_engine.flush()
 
     def patch_text(self, pc: int, instruction: Instruction) -> None:
         """Replace the instruction at ``pc`` (self-modifying code API).
 
         Bumps the code version so every interpreter tier observes the
-        new encoding: the table/legacy tiers read the slot directly, and
-        the compiled tier drops its block cache.
+        new encoding: the table/legacy tiers read the slot directly, the
+        compiled tier drops its block cache, and the DISE engine its
+        built sequences.
         """
         index = (pc - self._text_base) >> 2
         if (pc & 3) or index < 0 or index >= len(self._text):
@@ -276,17 +278,19 @@ class Machine:
         instruction.decoded = None
         self._text[index] = instruction
         self.text_version += 1
+        self.dise_engine.flush()
 
     def _note_text_store(self, ea: int, size: int) -> None:
         """A store overlapped the text region: invalidate cached decode
         state.  Text is not memory-backed (instructions are records, not
         encodings), so the architectural effect of such a store is only
-        on the data bytes; but any cached decode records and compiled
-        blocks covering the stored-to slots must be dropped so a
-        subsequent ``patch_text``-style mutation cannot execute stale
-        state.
+        on the data bytes; but any cached decode records, compiled
+        blocks and built DISE sequences covering the stored-to slots
+        must be dropped so a subsequent ``patch_text``-style mutation
+        cannot execute stale state.
         """
         self.text_version += 1
+        self.dise_engine.flush()
         text = self._text
         first = (max(ea, self._text_base) - self._text_base) >> 2
         last = (min(ea + size, self._text_end) - 1 - self._text_base) >> 2

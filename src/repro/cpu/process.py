@@ -65,8 +65,8 @@ def boot(state, program: Program, page_bytes: int) -> None:
     load_text(state)
     # Code-version counter: bumped by reload_text, patch_text, and
     # self-modifying stores into text pages.  The compiled execution
-    # tier keys its block cache on it (plus the DISE engine's own
-    # version counter), so any code mutation drops compiled blocks.
+    # tier keys its block cache on it (plus the DISE engine's
+    # production list), so any code mutation drops compiled blocks.
     # It switches with its process's text but only keeps caches
     # coherent: no snapshot carries it, and restore flushes the
     # compiled tier instead.
@@ -130,9 +130,9 @@ def snapshot(state) -> dict:
     Memory is captured copy-on-write.  Program text, its caches and
     ``text_version`` are not captured: a restore keeps the current text
     (see :meth:`Machine.restore`) and flushes what was compiled from it.
+    An expansion in flight is an immutable tuple the DISE engine built,
+    so the blob shares it.
     """
-    expansion = state._expansion
-    dise_return = state._dise_return
     return {
         "regs": list(state.regs),
         "pc": state.pc,
@@ -140,10 +140,8 @@ def snapshot(state) -> dict:
         "memory": state.memory.snapshot(),
         "pagetable": state.pagetable.snapshot(),
         "expansion": (
-            list(expansion) if expansion is not None else None,
-            state._exp_index, state._trigger_pc, state._in_dise_function,
-            ((dise_return[0], list(dise_return[1]), dise_return[2])
-             if dise_return is not None else None),
+            state._expansion, state._exp_index, state._trigger_pc,
+            state._in_dise_function, state._dise_return,
             state._expansion_did_store),
         "hw_watch_ranges": list(state.hw_watch_ranges),
         "breakpoint_registers": set(state.breakpoint_registers),
@@ -170,13 +168,9 @@ def restore(state, blob: dict) -> None:
     state.halted = blob["halted"]
     state.memory.restore(blob["memory"])
     state.pagetable.restore(blob["pagetable"])
-    (expansion, state._exp_index, state._trigger_pc,
-     state._in_dise_function, dise_return,
+    (state._expansion, state._exp_index, state._trigger_pc,
+     state._in_dise_function, state._dise_return,
      state._expansion_did_store) = blob["expansion"]
-    state._expansion = list(expansion) if expansion is not None else None
-    state._dise_return = (
-        (dise_return[0], list(dise_return[1]), dise_return[2])
-        if dise_return is not None else None)
     state.hw_watch_ranges = list(blob["hw_watch_ranges"])
     state.breakpoint_registers = set(blob["breakpoint_registers"])
     state.single_step = blob["single_step"]

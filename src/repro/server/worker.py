@@ -113,8 +113,11 @@ def _open_session(envelope: dict) -> dict:
 
 
 def _build_program(args: dict):
+    """The program an ``open-session`` names.  A benchmark is built
+    once per worker process and shared by its sessions: every backend
+    runs on its own copy, so none of them changes the shared one."""
     from repro.isa import assemble
-    from repro.workloads.benchmarks import build_benchmark
+    from repro.workloads.benchmarks import shared_benchmark
 
     benchmark = args.get("benchmark")
     asm = args.get("asm")
@@ -125,7 +128,7 @@ def _build_program(args: dict):
         if not isinstance(benchmark, str):
             raise CommandError("'benchmark' must be a string")
         try:
-            return build_benchmark(benchmark)
+            return shared_benchmark(benchmark)
         except (KeyError, ReproError) as exc:
             raise CommandError(f"unknown benchmark {benchmark!r}: "
                                f"{exc}") from exc

@@ -68,19 +68,16 @@ def resolve_program(program) -> tuple[Program, str]:
 
 
 @lru_cache(maxsize=None)
-def _cached_benchmark(name: str) -> Program:
-    return build_benchmark(name)
-
-
 def shared_benchmark(name: str) -> Program:
-    """A cached instance, for read-only uses (expression resolution).
+    """One cached instance per benchmark and process, for read-only uses.
 
-    Runs mutate machine memory, not the program, and backends that
-    transform the program copy it first — but callers that append to
-    the program (a DISE/rewrite session) should use
-    :func:`build_benchmark` for a private instance.
+    Runs mutate machine memory, not the program, and every debugger
+    backend appends to or rewrites its own ``program.copy()``, so a
+    debug session may share this instance (the server's workers open
+    every benchmark session on it).  Callers that change a program
+    themselves use :func:`build_benchmark` for a private instance.
     """
-    return _cached_benchmark(name)
+    return build_benchmark(name)
 
 
 def watch_expression(kind: str) -> str:

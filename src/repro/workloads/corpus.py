@@ -96,9 +96,10 @@ def build_workload(name: str) -> Program:
       that seed;
     * a ``.s`` path, or the stem of a file under :func:`programs_dir`.
 
-    Always returns a private instance (debug sessions append to their
-    program).  Raises :class:`~repro.errors.WorkloadError` for names
-    that resolve nowhere.
+    Always returns a private instance, which the caller may change
+    (debugger backends append to or rewrite a copy of it, never the
+    instance itself).  Raises :class:`~repro.errors.WorkloadError` for
+    names that resolve nowhere.
     """
     if name in PROFILES:
         from repro.workloads.benchmarks import build_benchmark

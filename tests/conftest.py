@@ -37,6 +37,25 @@ def _fresh_baseline_cache(tmp_path, monkeypatch):
     clear_baseline_cache()
 
 
+@pytest.fixture
+def sequence_builds(monkeypatch):
+    """Count DISE replacement-sequence builds (``Production.expand``
+    calls) per trigger PC; the engine answers repeats from its memo."""
+    from collections import Counter
+
+    from repro.dise.production import Production
+
+    builds = Counter()
+    build = Production.expand
+
+    def counted(production, trigger, pc=0):
+        builds[pc] += 1
+        return build(production, trigger, pc)
+
+    monkeypatch.setattr(Production, "expand", counted)
+    return builds
+
+
 COUNT_LOOP = """
 .data
 counter: .quad 0

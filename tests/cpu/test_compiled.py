@@ -11,7 +11,9 @@ and any DISE production install/activate/deactivate.
 import pytest
 
 from repro.config import DEFAULT_CONFIG
+from repro.cpu.compiled import _FALLBACK
 from repro.cpu.machine import Machine
+from repro.cpu.stats import TransitionKind
 from repro.dise.pattern import Pattern
 from repro.dise.production import Production
 from repro.dise.template import T, original, template
@@ -236,3 +238,40 @@ def test_restore_flushes_compiled_blocks(count_loop_program):
     assert machine._compiled.blocks
     machine.restore(blob)
     assert machine._compiled.blocks == {}
+
+
+def test_removed_store_production_leaves_stores_to_compiled_blocks():
+    """With only a PC production left, stores are no production
+    candidates: the compiled loop runs through its store instead of
+    ending a block there."""
+    program = assemble("""
+    main:
+        lda r1, 0
+        lda r3, 200
+    loop:
+        addq r1, 1, r1
+        stq r1, 8(sp)
+        subq r3, 1, r3
+        bne r3, loop
+        halt
+    """)
+    store_pc = program.pc_of_index(3)
+    stores = Production(Pattern.stores(), [original(), template(Opcode.TRAP)],
+                        name="stores")
+    at_halt = Production(Pattern.at_pc(program.pc_of_index(6)),
+                         [original()], name="at-halt")
+    machine = Machine(program, COMPILED,
+                      trap_handler=lambda event: TransitionKind.NONE)
+    engine = machine.dise_engine
+    machine.dise_controller.install(stores)
+    machine.dise_controller.install(at_halt)
+    machine.dise_controller.uninstall(stores)
+    assert store_pc not in engine._by_pc
+    assert engine._by_opclass == {}
+    machine.run()
+    blocks = machine._compiled.blocks
+    assert blocks.get(store_pc) is None
+    assert any(entry is not _FALLBACK for entry in blocks.values())
+    assert machine.regs[1] == 200
+    assert machine.stats.traps == 0
+    assert machine.stats.dise_expansions == 1  # the halt

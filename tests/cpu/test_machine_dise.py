@@ -4,6 +4,9 @@ import pytest
 
 from repro.cpu.machine import Machine
 from repro.cpu.stats import TransitionKind
+from repro.debugger.dispatcher import CommandDispatcher
+from repro.debugger.session import Session
+from repro.dise.engine import DiseEngine
 from repro.dise.pattern import Pattern
 from repro.dise.production import Production, identity_production
 from repro.dise.template import T, original, template
@@ -12,6 +15,7 @@ from repro.isa import assemble
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import RA, SP, ZERO_REG, dise_reg
+from repro.workloads.benchmarks import build_benchmark
 
 DR0, DR1, DR2 = dise_reg(0), dise_reg(1), dise_reg(2)
 
@@ -383,3 +387,174 @@ def test_dise_registers_isolated_from_app():
     assert machine.dise_regs.read(0) == 3
     assert all(r == 0 for i, r in enumerate(machine.regs)
                if i not in (30,))  # only sp is non-zero
+
+
+# -- built sequences: one per trigger PC, dropped on every change -----------
+
+STORE_LOOP = """
+.data
+hot: .quad 0
+.text
+main:
+    lda r5, hot
+    lda r4, 77
+    lda r1, 0
+loop:
+    addq r1, 1, r1
+    stq r1, 0(r5)
+    cmplt r1, 6, r2
+    bne r2, loop
+    halt
+"""
+STORE_INDEX = 4  # the loop's stq
+
+
+def _rebuilt_store(counter=DR0):
+    """Stores re-emitted from the trigger's fields (so a stale sequence
+    would store the old register), counting into ``counter``."""
+    return Production(
+        Pattern.stores(),
+        [template(T.OP, rd=T.RD, rs1=T.RS1, imm=T.IMM),
+         template(Opcode.ADDQ, rd=counter, rs1=counter, imm=1)],
+        name=f"rebuilt-{counter}")
+
+
+def _hot(program, machine):
+    return machine.memory.read_int(program.symbols["hot"].address, 8)
+
+
+@pytest.mark.parametrize("change", ("patch_text", "reload_text"))
+def test_in_place_edit_of_a_trigger_drops_its_sequence(change):
+    """An edited trigger keeps its identity, so only the text change
+    itself can tell the engine to rebuild."""
+    program, machine = _machine(STORE_LOOP, _rebuilt_store())
+    machine.run(max_app_instructions=3 + 4 * 2)
+    assert _hot(program, machine) == 2
+    store = machine._text[STORE_INDEX]
+    store.rd = 4  # now stores r4 (77)
+    if change == "patch_text":
+        machine.patch_text(machine._text_base + 4 * STORE_INDEX, store)
+    else:
+        machine.reload_text()
+    machine.run()
+    assert _hot(program, machine) == 77
+    assert machine.dise_regs.read(0) == 6
+
+
+def test_patch_text_with_a_new_trigger_rebuilds(sequence_builds):
+    program, machine = _machine(STORE_LOOP, _rebuilt_store())
+    pc = machine._text_base + 4 * STORE_INDEX
+    machine.run(max_app_instructions=3 + 4 * 2)
+    patch = assemble("main:\n    stq r4, 0(r5)\n    halt\n").instructions[0]
+    machine.patch_text(pc, patch)
+    machine.run()
+    assert _hot(program, machine) == 77
+    assert sequence_builds == {pc: 2}
+
+
+def test_production_changes_rebuild_sequences(sequence_builds):
+    first, second = _rebuilt_store(DR0), _rebuilt_store(DR1)
+    program, machine = _machine(STORE_LOOP, first)
+    pc = machine._text_base + 4 * STORE_INDEX
+    controller = machine.dise_controller
+    machine.run(max_app_instructions=3 + 4 * 2)
+    controller.uninstall(first)
+    controller.install(second)
+    machine.run()
+    assert (machine.dise_regs.read(0), machine.dise_regs.read(1)) == (2, 4)
+    assert sequence_builds == {pc: 2}
+
+
+def test_deactivate_then_activate_rebuilds(sequence_builds):
+    production = _rebuilt_store()
+    program, machine = _machine(STORE_LOOP, production)
+    pc = machine._text_base + 4 * STORE_INDEX
+    controller = machine.dise_controller
+    machine.run(max_app_instructions=3 + 4 * 2)
+    controller.deactivate(production)
+    machine.run(max_app_instructions=3 + 4 * 3)
+    controller.activate(production)
+    machine.run()
+    assert machine.dise_regs.read(0) == 5
+    assert sequence_builds == {pc: 2}
+
+
+def test_restore_to_a_different_production_set(sequence_builds):
+    """A checkpoint taken under another production set reinstalls it,
+    and the sequences built under the later set are not reused."""
+    first, second = _rebuilt_store(DR0), _rebuilt_store(DR1)
+    program, machine = _machine(STORE_LOOP, first)
+    pc = machine._text_base + 4 * STORE_INDEX
+    controller = machine.dise_controller
+    machine.run(max_app_instructions=3 + 4 * 2)
+    blob = machine.snapshot()
+    controller.uninstall(first)
+    controller.install(second)
+    machine.run()
+    assert machine.dise_regs.read(1) == 4
+    machine.restore(blob)
+    assert machine.dise_engine.productions == (first,)
+    machine.run()
+    assert (machine.dise_regs.read(0), machine.dise_regs.read(1)) == (6, 0)
+    assert sequence_builds == {pc: 3}
+
+
+def test_restore_of_the_same_set_keeps_sequences(sequence_builds):
+    """Rewinding under an unchanged production set reuses every built
+    sequence, and a snapshot taken mid-expansion shares its tuple."""
+    program, machine = _machine(STORE_LOOP, _rebuilt_store())
+    pc = machine._text_base + 4 * STORE_INDEX
+    machine.run(max_app_instructions=3 + 4 + 2)  # stops after a trigger
+    sequence = machine._expansion
+    assert sequence is not None
+    blob = machine.snapshot()
+    assert blob["expansion"][0] is sequence
+    machine.run()
+    for _ in range(3):
+        machine.restore(blob)
+        assert machine._expansion is sequence
+        machine.run()
+    assert _hot(program, machine) == 6
+    assert machine.dise_regs.read(0) == 6
+    assert sequence_builds == {pc: 1}
+
+
+def test_bzip2_session_builds_each_trigger_once(sequence_builds,
+                                                 monkeypatch):
+    """Through forward, reverse and time-travel verbs, a DISE session
+    builds each trigger PC's sequence at most once."""
+    expand = DiseEngine.expand
+    calls = []
+
+    def counted(engine, inst, pc):
+        calls.append(pc)
+        return expand(engine, inst, pc)
+
+    monkeypatch.setattr(DiseEngine, "expand", counted)
+    dispatcher = CommandDispatcher(build_benchmark("bzip2"), backend="dise")
+    for verb, args in (("watch", ["warm1"]), ("run", ["4000"]),
+                       ("continue", ["4000"]), ("continue", ["4000"]),
+                       ("reverse-continue", []), ("rewind", ["500"]),
+                       ("last-write", ["warm1"]), ("continue", ["4000"])):
+        dispatcher.dispatch(verb, args)
+    assert sequence_builds and max(sequence_builds.values()) == 1
+    assert len(calls) > 50 * len(sequence_builds)
+
+
+def test_memo_is_bounded_by_the_text():
+    """After a long session with many restores, the engine holds at
+    most one sequence per text PC."""
+    session = Session(build_benchmark("gcc"), backend="dise")
+    session.watch("warm1")
+    backend = session.build_backend()
+    machine = backend.machine
+    blobs = []
+    for step in range(50):  # 100K instructions, 50 restores
+        machine.run(max_app_instructions=machine.stats.app_instructions
+                    + 2_000)
+        blobs.append(backend.snapshot())
+        backend.restore(blobs[step // 2])
+    memo = machine.dise_engine._memo
+    text_pcs = range(machine._text_base, machine._text_end, 4)
+    assert memo and set(memo) <= set(text_pcs)
+    assert len(memo) <= len(machine._text)

@@ -3,10 +3,17 @@
 import pytest
 
 from repro.config import DEFAULT_CONFIG
+from repro.cpu.machine import Machine
 from repro.cpu.stats import TransitionKind
 from repro.debugger.backends import backend_class
 from repro.debugger.watchpoint import Watchpoint
+from repro.dise.pattern import Pattern
+from repro.dise.production import Production
+from repro.dise.template import T, original, template
 from repro.isa import assemble
+from repro.isa.opcodes import Opcode
+from repro.isa.registers import dise_reg
+from repro.kernel import Kernel
 from repro.replay.reverse import ReverseController
 
 TABLE = DEFAULT_CONFIG.with_(interpreter="table")
@@ -169,3 +176,65 @@ def test_solo_stop_records_stay_processless():
     record = controller.current_stop
     assert record.process == ""
     assert " in " not in record.describe()
+
+
+# Two programs with the same layout but a different store at index 3.
+SHARED_PC = """
+.data
+hot: .quad 0
+.text
+main:
+    lda r5, hot
+    lda r1, 0
+loop:
+    addq r1, 1, r1
+    {store}
+    stq r1, 8(sp)
+    cmplt r1, 30, r2
+    bne r2, loop
+    halt
+"""
+
+
+@pytest.mark.parametrize("tier", ("table", "compiled"))
+def test_processes_get_their_own_sequence_at_a_shared_pc(tier):
+    """A store production installed straight into the engine applies
+    to every process.  Built sequences are reused only for the very
+    instruction they were built from, so two processes holding
+    different stores at one PC each expand their own trigger, and a
+    ``T.PC`` slot carries each trigger's own address."""
+    config = TABLE if tier == "table" else COMPILED
+    first = assemble(SHARED_PC.format(store="stq r1, 0(r5)"))
+    second = assemble(SHARED_PC.format(store="stq r1, 16(sp)"))
+    machine = Machine(first, config)
+    kernel = Kernel(machine, quantum=7)
+    kernel.spawn(second)
+    machine.dise_engine.add(Production(
+        Pattern.stores(),
+        [template(Opcode.LDA, rd=dise_reg(1), rs1=31, imm=T.PC),
+         original()], name="global"))
+    expand = machine.dise_engine.expand
+    seen = []
+
+    def recording(inst, pc):
+        sequence = expand(inst, pc)
+        seen.append((machine.current_process, pc, inst, sequence))
+        return sequence
+
+    machine.dise_engine.expand = recording
+    machine.run()
+    assert kernel.preemptions > 10
+    shared = first.pc_of_index(3)
+    triggers = {process: inst for process, pc, inst, _ in seen
+                if pc == shared}
+    names = [kernel.process_state(pid).name for pid in (1, 2)]
+    assert triggers[names[0]] is first.instructions[3]
+    assert triggers[names[1]] is second.instructions[3]
+    for process, pc, inst, sequence in seen:
+        assert sequence[1] is inst
+        assert sequence[0].imm == pc
+    assert {pc for _, pc, _, _ in seen} == {shared, shared + 4}
+    for pid, hot in ((1, 30), (2, 0)):
+        ctx = kernel.process_state(pid)
+        assert ctx.halted
+        assert ctx.memory.read_int(ctx.program.address_of("hot"), 8) == hot
