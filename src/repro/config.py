@@ -129,9 +129,6 @@ class MachineConfig:
     page_bytes: int = 4096
     branch_predictor_entries: int = 8192
     btb_entries: int = 2048
-    # The paper: "The simulator extracts all nops from the dynamic
-    # instruction stream at no simulated cost."
-    free_nops: bool = True
     # Multithreaded execution of DISE-called functions (paper Section 4,
     # "Multithreading DISE function calls"; evaluated in Figure 8).
     multithreaded_dise_calls: bool = False
@@ -148,10 +145,6 @@ class MachineConfig:
     # run-limit resumes; differential harnesses drop it to 1 so tiny
     # programs compile eagerly and cache-invalidation bugs surface.
     compiled_hot_threshold: int = 4
-    # Auto-checkpoint every N application instructions during Machine.run
-    # (0 disables).  Checkpoints land in the machine's CheckpointStore
-    # and power reverse-continue/reverse-step (see repro.replay).
-    checkpoint_interval: int = 0
 
     def with_(self, **kwargs) -> "MachineConfig":
         """Return a copy with the given fields replaced."""

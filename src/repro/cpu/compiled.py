@@ -31,17 +31,16 @@ Division of labor (the fast path pays for nothing it does not use):
 Invalidation: compiled blocks are specialized against a captured
 environment — the machine's ``text_version`` (bumped by ``reload_text``,
 ``patch_text``, and self-modifying stores into text), the DISE engine's
-effective production list (compared by identity and order, which covers
-install/remove/clear, controller install/activate/deactivate, *and*
-per-process gating at context switches — a process whose production set
-is unchanged when it is scheduled back in keeps its compiled blocks)
-and ``enabled`` flag, the
-identity of ``instrumentation_pcs``, and the store-observability
-predicates.  :meth:`CompiledTier._stale` compares the capture against
-live state before every chain entry and flushes the whole cache on any
-mismatch; additionally the chain loop re-checks ``text_version`` after
-every block so a self-modifying store takes effect at the very next
-block boundary, and :meth:`repro.cpu.machine.Machine.restore` flushes
+resident productions (compared by identity and order, which covers
+controller install/uninstall/activate/deactivate *and* per-process
+gating at context switches — a process whose resident set is unchanged
+when it is scheduled back in keeps its compiled blocks), the identity
+of ``instrumentation_pcs``, and the store-observability predicates.
+:meth:`CompiledTier._stale` compares the capture against live state
+before every chain entry and flushes the whole cache on any mismatch;
+additionally the chain loop re-checks ``text_version`` after every
+block so a self-modifying store takes effect at the very next block
+boundary, and :meth:`repro.cpu.machine.Machine.restore` flushes
 unconditionally so a snapshot taken under different code can never
 resurrect stale blocks.
 
@@ -295,7 +294,6 @@ class CompiledTier:
         # against; None text_version means "never captured".
         self._text_version = None
         self._engine_prods = None
-        self._engine_enabled = None
         self._ips = None
         self._any_protected = None
         self._hw_watch = None
@@ -311,10 +309,8 @@ class CompiledTier:
     def _stale(self) -> bool:
         """Does the live machine environment differ from the capture?"""
         m = self._machine()
-        engine = m.dise_engine
         return (self._text_version != m.text_version
-                or self._engine_prods != engine._productions
-                or self._engine_enabled != engine.enabled
+                or self._engine_prods != m.dise_engine.productions
                 or self._ips is not m.instrumentation_pcs
                 or self._any_protected != m.pagetable.any_protected
                 or self._hw_watch != bool(m.hw_watch_ranges)
@@ -323,10 +319,8 @@ class CompiledTier:
     def _capture(self) -> None:
         self.blocks.clear()
         m = self._machine()
-        engine = m.dise_engine
         self._text_version = m.text_version
-        self._engine_prods = list(engine._productions)
-        self._engine_enabled = engine.enabled
+        self._engine_prods = m.dise_engine.productions
         self._ips = m.instrumentation_pcs
         self._any_protected = m.pagetable.any_protected
         self._hw_watch = bool(m.hw_watch_ranges)
@@ -441,13 +435,12 @@ class CompiledTier:
         n = len(text)
         timed = self._timed
         engine = m.dise_engine
-        check_dise = engine.enabled and bool(engine._productions)
+        check_dise = bool(engine.productions)
         by_pc = engine._by_pc
         by_opclass = engine._by_opclass
         by_codeword = engine._by_codeword
         generic = engine._generic
         ips = m.instrumentation_pcs
-        free_nops = m.config.free_nops
         store_ok = (not m.pagetable.any_protected
                     and not m.hw_watch_ranges
                     and m.store_observer is None)
@@ -586,11 +579,7 @@ class CompiledTier:
                     if rh == H_STORE and not store_ok:
                         return None
                 if rh == H_NOP:
-                    if free_nops:
-                        r_nops += 1
-                    else:
-                        r_app += 1
-                        n_app += 1
+                    r_nops += 1
                 else:
                     if rh == H_LOAD:
                         body += _load_lines(rinst, rdec, False)
@@ -700,16 +689,9 @@ class CompiledTier:
             h = d.handler_index
 
             if h == H_NOP:
-                if free_nops:
-                    if timed:
-                        emit(f"    t.fetch({pc})")
-                    nops += 1
-                else:
-                    if timed:
-                        emit(f"    t.fetch({pc})")
-                        emit("    t.commit()")
-                    app += 1
-                    app_total += 1
+                if timed:
+                    emit(f"    t.fetch({pc})")
+                nops += 1
                 visited.add(pc)
                 count += 1
                 index += 1

@@ -238,14 +238,12 @@ class Machine:
         self._interp = interp
 
         # Periodic auto-checkpointing (see repro.replay): disabled until
-        # configured or enable_checkpoints() is called.
+        # enable_checkpoints() is called.
         self.checkpoint_store: Optional[CheckpointStore] = None
-        self._checkpoint_interval = self.config.checkpoint_interval
+        self._checkpoint_interval = 0
         # None means :meth:`snapshot`, looked up when a checkpoint is
         # taken, so the machine holds no bound method of itself.
         self._checkpoint_fn: Optional[Callable[[], object]] = None
-        if self._checkpoint_interval > 0:
-            self.checkpoint_store = CheckpointStore()
 
     # -- setup -------------------------------------------------------------
 
@@ -337,7 +335,6 @@ class Machine:
             **process.snapshot(self),
             "stats": self.stats.to_dict(),
             "dise_regs": self.dise_regs.snapshot(),
-            "dise_engine": self.dise_engine.snapshot(),
             "dise_controller": self.dise_controller.snapshot(),
             "timing": (self.timing.snapshot()
                        if self.timing is not None else None),
@@ -362,7 +359,7 @@ class Machine:
         :meth:`reload_text` after restoring across an append to re-sync
         statement boundaries.
         """
-        kernel_blob = blob.get("kernel")
+        kernel_blob = blob["kernel"]
         if self._kernel is not None and kernel_blob is not None:
             # The per-process fields describe the process that was
             # *current* at snapshot time: the kernel makes it live
@@ -371,19 +368,15 @@ class Machine:
         process.restore(self, blob)
         self.stats = SimStats.from_dict(blob["stats"])
         self.dise_regs.restore(blob["dise_regs"])
-        self.dise_engine.restore(blob["dise_engine"])
         self.dise_controller.restore(blob["dise_controller"])
         if self.timing is not None and blob["timing"] is not None:
             self.timing.restore(blob["timing"])
         self.stop_on_user = blob["stop_on_user"]
         self.stopped_at_user = blob["stopped_at_user"]
-        # Trap/timer architecture (absent in pre-kernel blobs, e.g.
-        # persisted warm-start checkpoints: default to boot state).
         (self.kernel_mode, self.trap_vector, self.trap_cause,
          self.trap_epc, self.trap_value, self.pending_trap,
-         self.timer_quantum, self.timer_deadline) = blob.get(
-            "trap", (False, 0, 0, 0, 0, None, 0, -1))
-        self.current_process = blob.get("process", self.current_process)
+         self.timer_quantum, self.timer_deadline) = blob["trap"]
+        self.current_process = blob["process"]
 
     def state_fingerprint(self) -> str:
         """Digest of architectural state, for differential checks.
@@ -610,18 +603,17 @@ class Machine:
             elif target < 0:
                 break  # unlimited slice returned: nothing left to run
 
-    def enable_checkpoints(self, interval: Optional[int] = None,
+    def enable_checkpoints(self, interval: int,
                            store: Optional[CheckpointStore] = None,
                            snapshot_fn=None) -> CheckpointStore:
-        """Turn on periodic auto-checkpointing during :meth:`run`.
+        """Turn on auto-checkpointing every ``interval`` application
+        instructions during :meth:`run`.
 
         ``snapshot_fn`` overrides what gets captured (the reverse
         controller passes the owning backend's ``snapshot``, held
         weakly, so debugger bookkeeping rides along); default is
         :meth:`snapshot`.
         """
-        if interval is None:
-            interval = self._checkpoint_interval or self.config.checkpoint_interval
         if interval <= 0:
             raise ValueError(f"checkpoint interval {interval} must be > 0")
         self._checkpoint_interval = interval
@@ -636,7 +628,6 @@ class Machine:
         text = self._text
         text_len = len(text)
         text_base = self._text_base
-        free_nops = self.config.free_nops
         engine = self.dise_engine
         eng_productions = engine._productions
         eng_by_pc = engine._by_pc
@@ -676,8 +667,7 @@ class Machine:
                 if timing is not None:
                     timing.fetch(pc)
                 is_dise = False
-                if (eng_productions and engine.enabled
-                        and not self._in_dise_function):
+                if eng_productions and not self._in_dise_function:
                     if (pc in eng_by_pc or d.opclass in eng_by_opclass
                             or eng_generic
                             or (inst.opcode is codeword_op
@@ -695,7 +685,7 @@ class Machine:
                                 d = inst.decode()
                             is_dise = True
 
-            if d.opclass is nop_class and free_nops:
+            if d.opclass is nop_class:
                 stats.nops_elided += 1
                 self._advance()
                 continue
@@ -1054,7 +1044,6 @@ class Machine:
         engine = self.dise_engine
         text = self._text
         text_base = self._text_base
-        free_nops = self.config.free_nops
 
         while not self.halted:
             if limit >= 0 and stats.app_instructions >= limit:
@@ -1077,8 +1066,7 @@ class Machine:
                         break
                 if timing is not None:
                     timing.fetch(pc)
-                if (engine.enabled and engine._productions
-                        and not self._in_dise_function):
+                if engine._productions and not self._in_dise_function:
                     seq = engine.expand(inst, pc)
                     if seq is not None:
                         stats.dise_expansions += 1
@@ -1094,17 +1082,17 @@ class Machine:
                     is_dise = False
 
             self._execute(inst, is_dise, stats, timing, regs, memory,
-                          pagetable, free_nops)
+                          pagetable)
 
     # pylint: disable=too-many-branches,too-many-statements
     def _execute(self, inst: Instruction, is_dise: bool, stats, timing,
-                 regs, memory, pagetable, free_nops: bool) -> None:
+                 regs, memory, pagetable) -> None:
         """Execute one instruction and update fetch state (legacy path)."""
         opclass = inst.info.opclass
         opcode = inst.opcode
 
         # -- account the committed instruction -----------------------------
-        if opclass is OpClass.NOP and free_nops:
+        if opclass is OpClass.NOP:
             stats.nops_elided += 1
             self._advance()
             return
@@ -1267,10 +1255,6 @@ class Machine:
             else:  # D_MTR
                 self.dise_regs.write(inst.imm,
                                      self._read_reg(inst.rs1, False))
-            self._advance()
-            return
-
-        if opclass is OpClass.NOP:
             self._advance()
             return
 

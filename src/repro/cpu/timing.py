@@ -80,7 +80,6 @@ class TimingModel:
         self.offthread = False
 
         self.flushes = 0
-        self.fetch_lines = 0
         self._last_fetch_line = -1
         self._last_fetch_page = -1
         self._last_data_page = -1
@@ -128,7 +127,6 @@ class TimingModel:
         if line == self._last_fetch_line:
             return
         self._last_fetch_line = line
-        self.fetch_lines += 1
         page = pc >> 12
         if page != self._last_fetch_page:
             self._last_fetch_page = page
@@ -269,7 +267,6 @@ class TimingModel:
         self._loads_this_cycle = 0
         self._stores_this_cycle = 0
         self.flushes = 0
-        self.fetch_lines = 0
         self.caches.reset_counters()
         self.itlb.reset_counters()
         self.dtlb.reset_counters()
@@ -286,7 +283,7 @@ class TimingModel:
         """
         return (self.cycles, self._slots, self._loads_this_cycle,
                 self._stores_this_cycle, self.offthread, self.flushes,
-                self.fetch_lines, self._last_fetch_line,
+                self._last_fetch_line,
                 self._last_fetch_page, self._last_data_page,
                 self.caches.snapshot(), self.itlb.snapshot(),
                 self.dtlb.snapshot(), self.predictor.snapshot())
@@ -295,7 +292,7 @@ class TimingModel:
         """Reset the timing model to a previous :meth:`snapshot`."""
         (self.cycles, self._slots, self._loads_this_cycle,
          self._stores_this_cycle, self.offthread, self.flushes,
-         self.fetch_lines, self._last_fetch_line,
+         self._last_fetch_line,
          self._last_fetch_page, self._last_data_page,
          caches, itlb, dtlb, predictor) = blob
         self.caches.restore(caches)

@@ -11,7 +11,7 @@ kinds (which the timing model then charges).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Any, Container, NamedTuple, Optional, Sequence
 
 from repro.config import MachineConfig, DEFAULT_CONFIG
 from repro.cpu.machine import Machine, TrapEvent, WeakBoundMethod
@@ -22,10 +22,40 @@ from repro.debugger.watchpoint import Breakpoint, Watchpoint
 from repro.isa.program import Program
 
 
+class Option(NamedTuple):
+    """A backend option a caller may set: the type its JSON value must
+    have, its default, and the values it may take (every value of the
+    type when empty; an array option's elements otherwise)."""
+
+    type: type
+    default: Any = None
+    choices: Container = ()
+
+    def accepts(self, value: Any) -> bool:
+        """Does ``value``, as decoded from JSON, mean what it says?"""
+        if self.type is tuple:  # an array of ints, as long as the default
+            return (type(value) in (list, tuple)
+                    and len(value) == len(self.default)
+                    and all(type(item) is int and item in self.choices
+                            for item in value))
+        return (type(value) is self.type
+                and (not self.choices or value in self.choices))
+
+
+#: The values of a count option (``quantum``, ``num_registers``).
+COUNTS = range(2 ** 63)
+
+
 class DebuggerBackend:
     """Base class for all watchpoint implementations."""
 
     name = "abstract"
+    #: Every option the backend reads (through :meth:`option`); the
+    #: wire refuses any other (see ``check_backend_options``).
+    OPTIONS: dict[str, Option] = {
+        "detailed_timing": Option(bool, True),
+        "quantum": Option(int, None, COUNTS),
+    }
     #: Backends that statically transform the program set this so the
     #: session knows the original binary is left untouched or not.
     transforms_program = False
@@ -46,11 +76,12 @@ class DebuggerBackend:
         self.watchpoints = list(watchpoints)
         self.breakpoints = list(breakpoints)
         self.config = config or DEFAULT_CONFIG
-        detailed_timing = options.pop("detailed_timing", True)
+        # In-process only: a checkpoint blob and neighbour programs.
         warm_checkpoint = options.pop("warm_checkpoint", None)
         processes = options.pop("processes", ())
-        quantum = options.pop("quantum", None)
         self.options = options
+        detailed_timing = self.option("detailed_timing")
+        quantum = self.option("quantum")
 
         # Each backend instance models one debugged *process*: it works
         # on a private image of the binary, so the on-disk program stays
@@ -97,6 +128,10 @@ class DebuggerBackend:
                 quantum=DEFAULT_QUANTUM if quantum is None else quantum)
             for neighbour in processes:
                 self.kernel.spawn(neighbour)
+
+    def option(self, name: str) -> Any:
+        """The caller's value of a declared option, or its default."""
+        return self.options.get(name, self.OPTIONS[name].default)
 
     @property
     def current_process(self) -> str:

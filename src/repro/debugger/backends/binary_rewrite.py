@@ -26,13 +26,14 @@ from __future__ import annotations
 
 from repro.cpu.machine import TrapEvent, TrapKind
 from repro.cpu.stats import TransitionKind
-from repro.debugger.backends.base import DebuggerBackend
+from repro.debugger.backends.base import DebuggerBackend, Option
 from repro.debugger.backends.codegen import DebugCodeGenerator, LINK
 from repro.debugger.expressions import ProgramResolver
 from repro.errors import DebuggerError, UnsupportedWatchpointError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode, OpClass
 from repro.isa.program import INSTRUCTION_BYTES, Program, TEXT_BASE
+from repro.isa.registers import NUM_GPRS
 
 
 class BinaryRewriteBackend(DebuggerBackend):
@@ -40,12 +41,17 @@ class BinaryRewriteBackend(DebuggerBackend):
 
     name = "binary_rewrite"
     transforms_program = True
+    OPTIONS = {
+        **DebuggerBackend.OPTIONS,
+        "scratch_registers": Option(tuple, (27, 28), range(NUM_GPRS)),
+        "spill_mode": Option(bool, False),
+    }
 
     def transform_program(self, program: Program) -> Program:
         """Statically rewrite every store site and append the handler."""
         self.scratch: tuple[int, int] = tuple(
-            self.options.get("scratch_registers", (27, 28)))
-        self.spill_mode: bool = self.options.get("spill_mode", False)
+            self.option("scratch_registers"))
+        self.spill_mode: bool = self.option("spill_mode")
 
         rewritten = program  # already a private copy (see base class)
         rewritten.name = f"{program.name}+rewritten"
@@ -115,7 +121,8 @@ class BinaryRewriteBackend(DebuggerBackend):
                 new_instructions.append(inst)
         self._instrumentation_pcs = instrumentation
 
-        # Pass 3: retarget branches/calls of *original* instructions.
+        # Pass 3: retarget branches/calls of *original* instructions (a
+        # retargeted copy: the original program shares the objects).
         pc_map = {
             TEXT_BASE + INSTRUCTION_BYTES * old_i:
                 TEXT_BASE + INSTRUCTION_BYTES * new_i
@@ -128,7 +135,8 @@ class BinaryRewriteBackend(DebuggerBackend):
                 if self._inside_site(current_pc, emitted_site_pcs):
                     continue  # inline-check internal branch: already final
                 if inst.target in pc_map:
-                    inst.target = pc_map[inst.target]
+                    retargeted = new_instructions[new_i] = inst.copy()
+                    retargeted.target = pc_map[inst.target]
 
         # Pass 4: remap labels and statement boundaries.
         program.labels = {name: new_index_of[idx]

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from repro.cpu.machine import TrapEvent, TrapKind
 from repro.cpu.stats import TransitionKind
-from repro.debugger.backends.base import DebuggerBackend
+from repro.debugger.backends.base import DebuggerBackend, Option
 from repro.debugger.backends.codegen import (DAR_BASE, DPV_BASE,
                                              DebugCodeGenerator)
 from repro.debugger.expressions import Constant
@@ -63,17 +63,26 @@ class DiseBackend(DebuggerBackend):
     name = "dise"
     transforms_program = False  # appends only; existing code untouched
     uses_breakpoint_registers = False  # breakpoints are productions
+    OPTIONS = {
+        **DebuggerBackend.OPTIONS,
+        "check": Option(str, "match-address", (
+            "match-address", "evaluate-expression", "match-address-value")),
+        "conditional_isa": Option(bool, True),
+        "multi_strategy": Option(str, "auto", (
+            "auto", "serial", "bloom-byte", "bloom-bit")),
+        "protect": Option(bool, False),
+        "prune_stack_stores": Option(bool, False),
+        "breakpoint_codewords": Option(bool, False),
+    }
 
     def prepare(self) -> None:
         """Generate data/code and install the watchpoint/breakpoint productions."""
-        self.check: str = self.options.get("check", "match-address")
-        self.conditional_isa: bool = self.options.get("conditional_isa", True)
-        self.multi_strategy: str = self.options.get("multi_strategy", "auto")
-        self.protect: bool = self.options.get("protect", False)
-        self.prune_stack_stores: bool = self.options.get(
-            "prune_stack_stores", False)
-        self.breakpoint_codewords: bool = self.options.get(
-            "breakpoint_codewords", False)
+        self.check: str = self.option("check")
+        self.conditional_isa: bool = self.option("conditional_isa")
+        self.multi_strategy: str = self.option("multi_strategy")
+        self.protect: bool = self.option("protect")
+        self.prune_stack_stores: bool = self.option("prune_stack_stores")
+        self.breakpoint_codewords: bool = self.option("breakpoint_codewords")
 
         self.codegen: DebugCodeGenerator | None = None
         self._handler_traps = 0

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from repro.cpu.machine import TrapEvent, TrapKind
 from repro.cpu.stats import TransitionKind
-from repro.debugger.backends.base import DebuggerBackend
+from repro.debugger.backends.base import COUNTS, DebuggerBackend, Option
 from repro.debugger.watchpoint import Watchpoint
 from repro.errors import UnsupportedWatchpointError
 from repro.memory.pagetable import PAGE_READ
@@ -36,10 +36,12 @@ class HardwareRegisterBackend(DebuggerBackend):
     """Quad-granularity hardware watchpoint registers (+ VM fallback)."""
 
     name = "hardware"
+    OPTIONS = {**DebuggerBackend.OPTIONS,
+               "num_registers": Option(int, 4, COUNTS)}
 
     def prepare(self) -> None:
         """Assign registers (quad-aligned); overflow falls back to VM."""
-        self.num_registers: int = self.options.get("num_registers", 4)
+        self.num_registers: int = self.option("num_registers")
         # (precise_lo, precise_hi, wp) for each register-watched datum.
         self._register_ranges: list[tuple[int, int, Watchpoint]] = []
         # Ranges covered by the VM fallback.

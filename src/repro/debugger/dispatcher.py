@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.config import MachineConfig
+from repro.debugger.backends import BACKENDS
 from repro.debugger.expressions import parse_expression
 from repro.debugger.session import Session, _undebugged_run
 from repro.debugger.verbs import REGISTRY, spec_for
@@ -231,7 +232,7 @@ class CommandDispatcher:
                 raise CommandError(f"bad option {pair!r}; use key=value")
             key, value = pair.split("=", 1)
             options[key] = parse_option_value(value)
-        check_backend_options(options)
+        check_backend_options(args[0], options)
         self.session.backend_name = args[0]
         self.session.backend_options = options
         self._invalidate()
@@ -529,30 +530,25 @@ class CommandDispatcher:
             f"({spurious} spurious transitions)")
 
 
-#: Backend options that only an in-process caller can supply: the first
-#: three carry objects (programs, a checkpoint blob, a MachineConfig),
-#: the rest name the dispatcher's own parameters.
-_IN_PROCESS_OPTIONS = ("processes", "warm_checkpoint", "config", "backend",
-                       "record_fingerprints", "default_step")
-
-
-def check_backend_options(options: dict) -> None:
-    """Refuse backend options that came from outside the process (the
-    wire's ``open-session``, the ``backend`` verb) and cannot mean what
-    they say: ``detailed_timing`` must be a bool, ``quantum`` an int
-    >= 0, and :data:`_IN_PROCESS_OPTIONS` are refused.  Raises
-    :class:`CommandError` (``bad-request``) before anything is built.
+def check_backend_options(backend: Any, options: dict) -> None:
+    """Refuse a backend name or options that came from outside the
+    process (the wire's ``open-session`` and ``experiment``, the
+    ``backend`` verb) and cannot mean what they say: the backend must
+    exist, and each option must be one it declares
+    (:attr:`DebuggerBackend.OPTIONS`), with a value of the declared
+    type and range.  Raises :class:`CommandError` (``bad-request``)
+    before anything is built.
     """
+    if not isinstance(backend, str) or backend not in BACKENDS:
+        raise CommandError(f"unknown backend {backend!r}; choose from "
+                           f"{', '.join(sorted(BACKENDS))}")
+    declared = BACKENDS[backend].OPTIONS
     for key, value in options.items():
-        if key in _IN_PROCESS_OPTIONS:
-            raise CommandError(f"backend option {key!r} is only for "
-                               f"in-process callers")
-        if key == "detailed_timing" and type(value) is not bool:
-            raise CommandError(f"detailed_timing must be true or false, "
-                               f"not {value!r}")
-        if key == "quantum" and (type(value) is not int or value < 0):
-            raise CommandError(f"quantum must be an integer >= 0, "
-                               f"not {value!r}")
+        if key not in declared:
+            raise CommandError(f"backend {backend!r} has no option {key!r}")
+        if not declared[key].accepts(value):
+            raise CommandError(f"backend option {key!r} cannot be "
+                               f"{value!r}")
 
 
 def parse_option_value(text: str) -> Any:

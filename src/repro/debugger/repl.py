@@ -37,16 +37,9 @@ import shlex
 from typing import Callable, Optional
 
 from repro.config import MachineConfig
-from repro.debugger.dispatcher import (CommandDispatcher, CommandError,
-                                       DEFAULT_STEP)
+from repro.debugger.dispatcher import CommandDispatcher, CommandError
 from repro.errors import ReproError
 from repro.isa.program import Program
-
-_DEFAULT_STEP = DEFAULT_STEP  # historical name, kept for importers
-
-
-class ShellError(CommandError):
-    """A user-facing command error (bad syntax, unknown name, ...)."""
 
 
 class _BaseShell:
@@ -130,10 +123,6 @@ class DebuggerShell(_BaseShell):
     def _controller(self):
         return self.dispatcher._controller
 
-    @property
-    def _instructions_run(self) -> int:
-        return self.dispatcher._instructions_run
-
     # -- dispatch ----------------------------------------------------------
 
     def run_verb(self, verb: str, args: list[str]) -> str:
@@ -215,12 +204,6 @@ def help_text() -> str:
     lines.append("  help — list commands.")
     lines.append("  quit — leave the shell.")
     return "Commands:\n" + "\n".join(sorted(lines))
-
-
-def _parse_option_value(text: str):
-    from repro.debugger.dispatcher import parse_option_value
-
-    return parse_option_value(text)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -12,9 +12,10 @@ rules of the form ``pattern => parameterized replacement sequence``.
 * :mod:`repro.dise.production` -- a pattern plus its replacement.
 * :mod:`repro.dise.registers` -- the DISE-private register file.
 * :mod:`repro.dise.engine` -- the expansion engine consulted on every
-  fetched instruction.
-* :mod:`repro.dise.controller` -- capacity virtualization and the OS
-  access policy.
+  fetched instruction; it matches the resident productions only.
+* :mod:`repro.dise.controller` -- the production table's one owner:
+  capacity virtualization, the OS access policy, and which productions
+  are resident.
 """
 
 from repro.dise.pattern import Pattern

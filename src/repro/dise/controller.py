@@ -10,6 +10,9 @@ entities may create/modify productions that act on other applications."
 
 The controller therefore:
 
+* holds the one production table: each entry's production, principal,
+  target process and activity, in install order (which is match
+  priority);
 * tracks pattern-table entries (default 32) and replacement-table
   instructions (default 512) and rejects installs that exceed them;
 * enforces the ownership policy: an untrusted principal may only install
@@ -17,12 +20,17 @@ The controller therefore:
 * supports fast activate/deactivate, which is how the debugger enables
   and disables watchpoints "without modifying the executable"
   (Section 6).
+
+After every change it recomputes the *resident* set — the active
+entries aimed at the running process, in install order — and passes it
+to :meth:`DiseEngine.load`; the engine holds nothing else.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 from repro.config import DiseConfig
 from repro.errors import DiseCapacityError, DisePermissionError
@@ -30,20 +38,14 @@ from repro.dise.engine import DiseEngine
 from repro.dise.production import Production
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Installed:
     production: Production
     principal: str
     target_process: str
+    # The user's enable/disable intent; gating by process is separate
+    # (an entry is resident iff active and aimed at process_name).
     active: bool = True
-    # Engine install order: restored on reactivation so a
-    # deactivate/activate round-trip does not change match priority.
-    order: int = -1
-    # Gated out because the production's target process is not the one
-    # currently scheduled (see context_switch).  Orthogonal to
-    # ``active``, which records the *user's* enable/disable intent: a
-    # production is resident in the engine iff active and not suspended.
-    suspended: bool = False
 
 
 class DiseController:
@@ -55,7 +57,9 @@ class DiseController:
         self.config = config or DiseConfig()
         self.process_name = process_name
         self.trusted_principals: set[str] = {"os", "debugger"}
-        self._installed: list[_Installed] = []
+        # Frozen entries in install order; replaced, never mutated, so
+        # a snapshot shares the tuple.
+        self._installed: tuple[_Installed, ...] = ()
 
     # -- capacity ----------------------------------------------------------
 
@@ -67,12 +71,13 @@ class DiseController:
     def replacement_slots_used(self) -> int:
         return sum(len(entry.production) for entry in self._installed)
 
-    def _check_capacity(self, production: Production) -> None:
-        if self.pattern_entries_used + 1 > self.config.pattern_table_entries:
+    def _check_capacity(self, productions: tuple[Production, ...]) -> None:
+        entries = self.pattern_entries_used + len(productions)
+        if entries > self.config.pattern_table_entries:
             raise DiseCapacityError(
-                f"pattern table full "
-                f"({self.config.pattern_table_entries} entries)")
-        needed = self.replacement_slots_used + len(production)
+                f"pattern table full: need {entries} of "
+                f"{self.config.pattern_table_entries} entries")
+        needed = self.replacement_slots_used + sum(map(len, productions))
         if needed > self.config.replacement_table_instructions:
             raise DiseCapacityError(
                 f"replacement table full: need {needed} of "
@@ -92,115 +97,83 @@ class DiseController:
 
     def install(self, production: Production, principal: str = "debugger",
                 target_process: str | None = None) -> Production:
-        """Install (and activate) a production; returns it for chaining."""
-        target = target_process or self.process_name
-        self._check_permission(principal, target)
-        self._check_capacity(production)
-        if target == self.process_name:
-            order = self.engine.add(production)
-            self._installed.append(
-                _Installed(production, principal, target, order=order))
-        else:
-            # Installing for a process that is not currently scheduled:
-            # table space is reserved, but the production stays out of
-            # the engine until its target runs — the current process's
-            # instruction stream never probes it.
-            self._installed.append(
-                _Installed(production, principal, target, suspended=True))
+        """Install (and activate) a production; returns it for chaining.
+
+        A production aimed at a process that is not running reserves
+        table space but stays out of the engine until its target runs.
+        """
+        self.install_all((production,), principal, target_process)
         return production
 
-    def install_all(self, productions, principal: str = "debugger",
+    def install_all(self, productions: Iterable[Production],
+                    principal: str = "debugger",
                     target_process: str | None = None) -> None:
         """Install several productions under one principal, atomically.
 
-        Capacity is checked for the whole batch before anything is
-        installed, so a :class:`DiseCapacityError` leaves the engine
-        unchanged (no partially installed batch).  ``target_process``
-        applies the same permission policy as :meth:`install`.
+        Permission and capacity are checked for the whole batch before
+        anything is installed, so an error leaves the table unchanged.
         """
-        productions = list(productions)
+        productions = tuple(productions)
         target = target_process or self.process_name
         self._check_permission(principal, target)
-        if (self.pattern_entries_used + len(productions)
-                > self.config.pattern_table_entries):
-            raise DiseCapacityError(
-                f"pattern table full: need "
-                f"{self.pattern_entries_used + len(productions)} of "
-                f"{self.config.pattern_table_entries} entries")
-        needed = self.replacement_slots_used + sum(
-            len(production) for production in productions)
-        if needed > self.config.replacement_table_instructions:
-            raise DiseCapacityError(
-                f"replacement table full: need {needed} of "
-                f"{self.config.replacement_table_instructions} instructions")
-        for production in productions:
-            self.install(production, principal, target)
+        self._check_capacity(productions)
+        self._installed += tuple(_Installed(production, principal, target)
+                                 for production in productions)
+        self._load()
 
     def uninstall(self, production: Production) -> None:
         """Remove a production and free its table space."""
-        entry = self._find(production)
-        if entry.active and not entry.suspended:
-            self.engine.remove(production)
-        self._installed.remove(entry)
+        index = self._index(production)
+        self._installed = (self._installed[:index]
+                           + self._installed[index + 1:])
+        self._load()
+        self.engine.flush()  # no memo may name an uninstalled production
 
     def deactivate(self, production: Production) -> None:
         """Temporarily disable without freeing table space."""
-        entry = self._find(production)
-        if entry.active:
-            if not entry.suspended:
-                entry.order = self.engine.remove(production)
-            entry.active = False
+        self._set_active(production, False)
 
     def activate(self, production: Production) -> None:
         """Re-enable a previously deactivated production at its
         original table position (match priority is preserved)."""
-        entry = self._find(production)
-        if not entry.active:
-            if not entry.suspended:
-                self.engine.add(
-                    production,
-                    order=entry.order if entry.order >= 0 else None)
-            entry.active = True
+        self._set_active(production, True)
 
     def context_switch(self, process_name: str) -> None:
         """Re-gate the engine for the incoming process.
 
         This is the paper's permission story made mechanical: a
-        production targets exactly one process, so on a context switch
-        every production whose ``target_process`` is not the incoming
-        process is lifted out of the engine (its pattern can never be
-        probed by the other process's fetch stream — the non-target
-        process pays nothing for it), and every production targeting
-        the incoming process is dropped back in at its original match
-        priority.  User ``activate``/``deactivate`` intent is tracked
-        separately and survives any number of switches.
+        production targets exactly one process, so the engine holds
+        only the incoming process's active productions — the other
+        process's fetch stream never probes them, so a non-target
+        process pays nothing for them.  User ``activate``/``deactivate``
+        intent survives any number of switches.
         """
-        if process_name == self.process_name:
-            return
         self.process_name = process_name
-        for entry in self._installed:
-            should_run = entry.target_process == process_name
-            if should_run and entry.suspended:
-                entry.suspended = False
-                if entry.active:
-                    self.engine.add(
-                        entry.production,
-                        order=entry.order if entry.order >= 0 else None)
-            elif not should_run and not entry.suspended:
-                entry.suspended = True
-                if entry.active:
-                    entry.order = self.engine.remove(entry.production)
+        self._load()
 
     def uninstall_all(self) -> None:
         """Remove every installed production."""
-        for entry in list(self._installed):
-            self.uninstall(entry.production)
+        self._installed = ()
+        self._load()
+        self.engine.flush()
 
-    def _find(self, production: Production) -> _Installed:
-        for entry in self._installed:
+    def _set_active(self, production: Production, active: bool) -> None:
+        index = self._index(production)
+        entries = list(self._installed)
+        entries[index] = dataclasses.replace(entries[index], active=active)
+        self._installed = tuple(entries)
+        self._load()
+
+    def _index(self, production: Production) -> int:
+        for index, entry in enumerate(self._installed):
             if entry.production is production:
-                return entry
+                return index
         raise KeyError(f"production {production.name!r} is not installed")
+
+    def _load(self) -> None:
+        self.engine.load(entry.production for entry in self._installed
+                         if entry.active
+                         and entry.target_process == self.process_name)
 
     @property
     def installed_productions(self) -> tuple[Production, ...]:
@@ -211,24 +184,20 @@ class DiseController:
     def snapshot(self) -> tuple:
         """Capture the install table, trust set, and gating identity.
 
-        Entries are copied (their ``active``/``order``/``suspended``
-        fields mutate on activate/deactivate/context_switch); the
-        productions themselves are shared.
+        The table is a tuple of frozen entries, so the blob shares it.
         """
-        return (tuple(dataclasses.replace(entry)
-                      for entry in self._installed),
-                frozenset(self.trusted_principals),
+        return (self._installed, frozenset(self.trusted_principals),
                 self.process_name)
 
     def restore(self, blob: tuple) -> None:
-        """Reset the install table to a previous :meth:`snapshot`.
-
-        The paired engine must be restored separately (the machine's
-        snapshot does both, keeping them consistent).
-        """
-        installed, trusted = blob[0], blob[1]
-        self._installed = [dataclasses.replace(entry)
-                           for entry in installed]
+        """Reset to a previous :meth:`snapshot` and reload the engine
+        with that snapshot's resident set.  A production the snapshot
+        does not hold is uninstalled, as by :meth:`uninstall`."""
+        kept = {entry.production for entry in blob[0]}
+        uninstalled = any(entry.production not in kept
+                          for entry in self._installed)
+        self._installed, trusted, self.process_name = blob
         self.trusted_principals = set(trusted)
-        if len(blob) > 2:  # pre-kernel blobs had no gating identity
-            self.process_name = blob[2]
+        self._load()
+        if uninstalled:
+            self.engine.flush()

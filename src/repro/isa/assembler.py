@@ -335,7 +335,3 @@ def _parse_skip(text: str, line_number: Optional[int]) -> int:
     if text.startswith("+"):
         text = text[1:]
     return _parse_int(text, line_number)
-
-
-# Backwards-compatible alias: assemble() always handles data directives.
-assemble_with_data = assemble

@@ -228,19 +228,18 @@ class Program:
         return DATA_BASE, self._data_cursor
 
     def copy(self) -> "Program":
-        """Deep-ish copy: fresh instruction objects, shared metadata values.
+        """A copy with its own instruction list, labels, symbols, data
+        items and statement starts, sharing the instructions themselves.
 
-        Used by the binary-rewriting backend, which must transform the
-        static image without perturbing the original program.
+        Every debugger backend runs on a copy: DISE appends to it and
+        replaces slots, the binary rewriter builds a new list.  An
+        instruction is never edited in place after a copy — replace its
+        slot — so the original program stays pristine.
         """
-        clone = Program(
-            (inst.copy() for inst in self.instructions),
-            labels=dict(self.labels),
-            data_items=list(self.data_items),
-            statement_starts=set(self.statement_starts),
-            entry=self.entry,
-            name=self.name,
-        )
+        clone = Program(self.instructions, labels=self.labels,
+                        data_items=self.data_items,
+                        statement_starts=self.statement_starts,
+                        entry=self.entry, name=self.name)
         clone.symbols = dict(self.symbols)
         clone._data_cursor = self._data_cursor
         clone._finalized = self._finalized

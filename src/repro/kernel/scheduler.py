@@ -22,10 +22,10 @@ On each switch the kernel:
   the per-process compiled-code tier — block caches survive being
   descheduled;
 * charges the timing model a pipeline flush + TLB shootdown;
-* re-gates the DISE engine (``DiseController.context_switch``) so
-  productions targeting the outgoing process are lifted out of the
-  pattern table — the incoming process's fetch stream never probes
-  them, which is what keeps a debugged neighbour nearly free.
+* re-gates the DISE engine (``DiseController.context_switch``): the
+  engine is loaded with the incoming process's productions only, so
+  that process's fetch stream never probes the outgoing one's, which
+  is what keeps a debugged neighbour nearly free.
 """
 
 from __future__ import annotations
@@ -274,9 +274,9 @@ class Kernel:
         Runs first in :meth:`Machine.restore`: the snapshot's current
         process becomes the live one by raw reference swap, so the
         machine's per-process fields then restore into its memory and
-        page table.  No timing charge and no DISE re-gating — the
-        machine restores timing and engine state wholesale from the
-        snapshot, which captured them already gated for this process.
+        page table.  No timing charge and no DISE re-gating here: the
+        machine restores timing wholesale, and the DISE controller's
+        restore reloads the engine with the snapshot's resident set.
         """
         target = blob["current"]
         if target != self._current:

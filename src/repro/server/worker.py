@@ -20,7 +20,6 @@ configuration state that could go stale across pool restarts.
 
 from __future__ import annotations
 
-import inspect
 import os
 from typing import Optional
 
@@ -95,10 +94,11 @@ def _open_session(envelope: dict) -> dict:
     options = args.get("options") or {}
     if not isinstance(options, dict):
         raise CommandError("open-session 'options' must be an object")
-    check_backend_options(options)
+    backend = args.get("backend", "dise")
+    check_backend_options(backend, options)
     dispatcher = CommandDispatcher(
         program,
-        backend=args.get("backend", "dise"),
+        backend=backend,
         record_fingerprints=bool(envelope.get("record_fingerprints", True)),
         default_step=int(envelope.get("default_step", DEFAULT_STEP)),
         **options)
@@ -185,22 +185,17 @@ def _experiment(envelope: dict) -> dict:
     options = args.get("options") or {}
     if not isinstance(options, dict):
         raise CommandError("experiment 'options' must be an object")
-    check_backend_options(options)
-    # The cell's own parameters (cls included) come from the frame's
-    # other fields; inside ``options`` they would collide with those or
-    # silently replace them.
-    for name in inspect.signature(CellSpec.make.__func__).parameters:
-        if name in options:
-            raise CommandError(f"experiment option {name!r} is a cell "
-                               f"parameter, not a backend option")
+    # No backend declares an option named like a cell parameter, so the
+    # cell's own fields cannot hide in ``options``.
+    backend = args.get("backend", "dise")
+    check_backend_options(backend, options)
     measure, warmup = experiment_budgets(args)
     interpreter = args.get("interpreter")
     if interpreter is not None and interpreter not in INTERPRETERS:
         raise CommandError(f"unknown interpreter {interpreter!r}; expected "
                            f"one of {', '.join(INTERPRETERS)}")
     spec = CellSpec.make(
-        benchmark, str(args.get("kind", "HOT")),
-        str(args.get("backend", "dise")),
+        benchmark, str(args.get("kind", "HOT")), backend,
         conditional=bool(args.get("conditional", False)),
         interpreter=interpreter,
         **options)

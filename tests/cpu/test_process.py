@@ -46,10 +46,10 @@ def test_every_machine_attribute_is_per_process_or_machine_wide(
         interpreter):
     assert len(set(PROCESS_FIELDS)) == len(PROCESS_FIELDS)
     assert not MACHINE_WIDE & set(PROCESS_FIELDS)
-    config = DEFAULT_CONFIG.with_(interpreter=interpreter,
-                                  checkpoint_interval=50)
+    config = DEFAULT_CONFIG.with_(interpreter=interpreter)
     machine = Machine(assemble(SOURCE), config)
     assert set(vars(machine)) == MACHINE_WIDE | set(PROCESS_FIELDS)
+    machine.enable_checkpoints(50)
     # Running, scheduling and checkpointing add nothing undeclared.
     kernel = Kernel(machine, quantum=37)
     kernel.spawn(assemble(SOURCE))

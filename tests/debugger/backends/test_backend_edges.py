@@ -21,7 +21,7 @@ def test_no_watchpoints_is_free_for_dise():
     backend = session.build_backend()
     result = backend.run()
     assert result.stats.dise_expansions == 0
-    assert not backend.machine.dise_engine.has_productions
+    assert backend.machine.dise_engine.productions == ()
 
 
 def test_watching_same_variable_twice():

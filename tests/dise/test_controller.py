@@ -54,7 +54,7 @@ def test_uninstall_frees_capacity():
     production = _production()
     controller.install(production)
     controller.uninstall(production)
-    assert not engine.has_productions
+    assert engine.productions == ()
     controller.install(_production(name="again"))
 
 
@@ -63,10 +63,10 @@ def test_deactivate_keeps_table_space():
     production = _production()
     controller.install(production)
     controller.deactivate(production)
-    assert not engine.has_productions
+    assert engine.productions == ()
     assert controller.pattern_entries_used == 1  # still reserved
     controller.activate(production)
-    assert engine.has_productions
+    assert engine.productions
 
 
 def test_deactivate_is_idempotent():
@@ -103,7 +103,7 @@ def test_uninstall_all():
     controller.install(_production(name="b"))
     controller.uninstall_all()
     assert controller.pattern_entries_used == 0
-    assert not engine.has_productions
+    assert engine.productions == ()
 
 
 def test_unknown_production_raises():
@@ -120,7 +120,7 @@ def test_install_all_atomic_on_replacement_capacity_error():
              _production(length=2, name="c")]  # needs 6 of 5 slots
     with pytest.raises(DiseCapacityError):
         controller.install_all(batch)
-    assert not engine.has_productions
+    assert engine.productions == ()
     assert controller.pattern_entries_used == 0
     assert controller.replacement_slots_used == 0
 
@@ -129,7 +129,7 @@ def test_install_all_atomic_on_pattern_capacity_error():
     controller, engine = _controller(pattern_entries=2)
     with pytest.raises(DiseCapacityError):
         controller.install_all([_production(name=name) for name in "abc"])
-    assert not engine.has_productions
+    assert engine.productions == ()
     assert controller.pattern_entries_used == 0
 
 
@@ -138,7 +138,7 @@ def test_install_all_forwards_target_process():
     with pytest.raises(DisePermissionError):
         controller.install_all([_production()], principal="rogue",
                                target_process="app")
-    assert not engine.has_productions
+    assert engine.productions == ()
     controller.install_all([_production()], principal="app",
                            target_process="app")
     assert controller.pattern_entries_used == 1

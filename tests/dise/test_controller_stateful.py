@@ -1,14 +1,17 @@
-"""Stateful property test: the controller's bookkeeping never drifts.
+"""Stateful property test: the controller's table has one owner.
 
-Random interleavings of install/deactivate/activate/uninstall must keep
-three invariants: (1) the engine sees exactly the active productions,
-(2) table accounting matches the installed set, and (3) capacity is
-never exceeded.
+Random interleavings of install (for either of two processes),
+deactivate/activate, uninstall, context switches and snapshot/restore
+must keep four invariants: (1) the engine holds exactly the resident
+set — the active productions aimed at the running process, in install
+order, (2) no engine memo names an uninstalled production, (3) table
+accounting matches the installed set, and (4) capacity is never
+exceeded.
 """
 
 from hypothesis import strategies as st
 from hypothesis.stateful import (Bundle, RuleBasedStateMachine, invariant,
-                                 rule)
+                                 precondition, rule)
 
 from repro.config import DiseConfig
 from repro.dise.controller import DiseController
@@ -18,6 +21,9 @@ from repro.dise.production import Production
 from repro.dise.template import original, template
 from repro.errors import DiseCapacityError
 from repro.isa.opcodes import Opcode
+
+
+PROCESSES = ("app", "neighbour")
 
 
 def _production(length: int, tag: int) -> Production:
@@ -36,25 +42,31 @@ class ControllerMachine(RuleBasedStateMachine):
         self.controller = DiseController(
             self.engine,
             DiseConfig(pattern_table_entries=6,
-                       replacement_table_instructions=20))
-        self.model: dict[int, tuple[Production, bool]] = {}
+                       replacement_table_instructions=20),
+            process_name=PROCESSES[0])
+        # id -> [production, target process, active], in install order.
+        self.model: dict[int, list] = {}
+        self.current = PROCESSES[0]
+        self.saved = None
         self.counter = 0
 
-    @rule(target=productions, length=st.integers(min_value=1, max_value=6))
-    def install(self, length):
+    @rule(target=productions, length=st.integers(min_value=1, max_value=6),
+          process=st.sampled_from((None,) + PROCESSES))
+    def install(self, length, process):
         """Install may succeed or hit capacity; the model mirrors it."""
         self.counter += 1
         production = _production(length, self.counter)
         used_entries = len(self.model)
-        used_slots = sum(len(p) for p, _ in self.model.values())
+        used_slots = sum(len(p) for p, _, _ in self.model.values())
         should_fit = (used_entries + 1 <= 6 and used_slots + length <= 20)
         try:
-            self.controller.install(production)
+            self.controller.install(production, target_process=process)
         except DiseCapacityError:
             assert not should_fit
             return production  # bundle needs a value; mark as absent
         assert should_fit
-        self.model[id(production)] = (production, True)
+        self.model[id(production)] = [production, process or self.current,
+                                      True]
         return production
 
     @rule(production=productions)
@@ -62,16 +74,14 @@ class ControllerMachine(RuleBasedStateMachine):
         if id(production) not in self.model:
             return
         self.controller.deactivate(production)
-        existing, _ = self.model[id(production)]
-        self.model[id(production)] = (existing, False)
+        self.model[id(production)][2] = False
 
     @rule(production=productions)
     def activate(self, production):
         if id(production) not in self.model:
             return
         self.controller.activate(production)
-        existing, _ = self.model[id(production)]
-        self.model[id(production)] = (existing, True)
+        self.model[id(production)][2] = True
 
     @rule(production=productions)
     def uninstall(self, production):
@@ -80,16 +90,41 @@ class ControllerMachine(RuleBasedStateMachine):
         self.controller.uninstall(production)
         del self.model[id(production)]
 
+    @rule(process=st.sampled_from(PROCESSES))
+    def context_switch(self, process):
+        self.controller.context_switch(process)
+        self.current = process
+
+    @rule()
+    def snapshot(self):
+        self.saved = (self.controller.snapshot(), self.current,
+                      {key: list(entry) for key, entry in self.model.items()})
+
+    @precondition(lambda self: self.saved is not None)
+    @rule()
+    def restore(self):
+        blob, self.current, model = self.saved
+        self.controller.restore(blob)
+        self.model = {key: list(entry) for key, entry in model.items()}
+
     @invariant()
-    def engine_sees_exactly_active_productions(self):
-        active = {id(p) for p, is_active in self.model.values() if is_active}
-        assert {id(p) for p in self.engine.productions} == active
+    def engine_holds_the_resident_set(self):
+        resident = tuple(production
+                         for production, target, active in self.model.values()
+                         if active and target == self.current)
+        assert self.engine.productions == resident
+
+    @invariant()
+    def memos_name_only_installed_productions(self):
+        installed = {id(p) for p, _, _ in self.model.values()}
+        for resident in self.engine._memos:
+            assert {id(p) for p in resident} <= installed
 
     @invariant()
     def accounting_matches_model(self):
         assert self.controller.pattern_entries_used == len(self.model)
         assert self.controller.replacement_slots_used == \
-            sum(len(p) for p, _ in self.model.values())
+            sum(len(p) for p, _, _ in self.model.values())
 
     @invariant()
     def capacity_never_exceeded(self):

@@ -1,5 +1,6 @@
-"""Expansion engine: bucketing, most-specific-wins, stats."""
+"""Expansion engine: bucketing, most-specific-wins, per-set memos."""
 
+from repro.dise.controller import DiseController
 from repro.dise.engine import DiseEngine
 from repro.dise.pattern import Pattern
 from repro.dise.production import Production, identity_production
@@ -19,32 +20,33 @@ def _generic_store_production():
                       name="generic")
 
 
+def _engine(*productions):
+    engine = DiseEngine()
+    engine.load(productions)
+    return engine
+
+
 def test_no_productions_returns_none():
     engine = DiseEngine()
     assert engine.expand(_store(), 0x1000) is None
-    assert not engine.has_productions
+    assert engine.productions == ()
 
 
 def test_non_matching_returns_none():
-    engine = DiseEngine()
-    engine.add(_generic_store_production())
+    engine = _engine(_generic_store_production())
     assert engine.expand(Instruction(Opcode.NOP), 0x1000) is None
 
 
-def test_basic_expansion_and_stats():
-    engine = DiseEngine()
-    engine.add(_generic_store_production())
+def test_basic_expansion():
+    engine = _engine(_generic_store_production())
     expansion = engine.expand(_store(), 0x1000)
     assert [i.opcode for i in expansion] == [Opcode.STQ, Opcode.TRAP]
-    assert engine.expansions == 1
-    assert engine.instructions_inserted == 1
 
 
 def test_most_specific_wins():
-    engine = DiseEngine()
-    engine.add(_generic_store_production())
-    engine.add(identity_production(Pattern.stores(base_register=SP),
-                                   name="stack-identity"))
+    engine = _engine(_generic_store_production(),
+                     identity_production(Pattern.stores(base_register=SP),
+                                         name="stack-identity"))
     # Stack store: the more specific identity production applies.
     assert engine.expand(_store(base=SP), 0x1000) == (_store(base=SP),)
     # Other stores: the generic watchpoint expansion.
@@ -52,37 +54,36 @@ def test_most_specific_wins():
 
 
 def test_pc_pattern_overrides_class_pattern():
-    engine = DiseEngine()
-    engine.add(_generic_store_production())
-    engine.add(Production(Pattern.at_pc(0x2000),
-                          [template(Opcode.NOP)], name="by-pc"))
+    engine = _engine(_generic_store_production(),
+                     Production(Pattern.at_pc(0x2000),
+                                [template(Opcode.NOP)], name="by-pc"))
     assert engine.expand(_store(), 0x2000)[0].opcode is Opcode.NOP
     assert engine.expand(_store(), 0x2004)[0].opcode is Opcode.STQ
 
 
 def test_codeword_bucket():
-    engine = DiseEngine()
-    engine.add(Production(Pattern.for_codeword(7),
-                          [template(Opcode.TRAP)], name="bp"))
+    engine = _engine(Production(Pattern.for_codeword(7),
+                                [template(Opcode.TRAP)], name="bp"))
+    assert engine._by_codeword.keys() == {7}
     codeword = Instruction(Opcode.CODEWORD, imm=7)
     assert engine.expand(codeword, 0)[0].opcode is Opcode.TRAP
     assert engine.expand(Instruction(Opcode.CODEWORD, imm=8), 0) is None
 
 
 def test_generic_bucket():
-    engine = DiseEngine()
-    engine.add(Production(Pattern(rd=3), [template(Opcode.NOP)],
-                          name="rd3"))
+    rd3 = Production(Pattern(rd=3), [template(Opcode.NOP)], name="rd3")
+    engine = _engine(rd3)
+    assert engine._generic == [rd3]
     assert engine.expand(Instruction(Opcode.ADDQ, rd=3, rs1=1, rs2=2),
                          0) is not None
     assert engine.expand(Instruction(Opcode.ADDQ, rd=4, rs1=1, rs2=2),
                          0) is None
     # An opcode pattern is generic too; the engine hands the trigger's
     # fetch address to T.PC.
-    engine.add(Production(
+    engine.load((rd3, Production(
         Pattern(opcode=Opcode.JSR),
         [template(Opcode.LDA, rd=dise_reg(1), rs1=31, imm=T.PC),
-         original()], name="at-call"))
+         original()], name="at-call")))
     call = Instruction(Opcode.JSR, rd=26, target=0x2000)
     assert engine.expand(call, 0x1040) == (
         Instruction(Opcode.LDA, rd=dise_reg(1), rs1=31, imm=0x1040), call)
@@ -90,80 +91,59 @@ def test_generic_bucket():
 
 
 def test_remove_production():
-    engine = DiseEngine()
+    """Loading a set without a production takes it out of matching."""
     production = _generic_store_production()
-    engine.add(production)
-    engine.remove(production)
+    engine = _engine(production)
+    engine.load(())
     assert engine.expand(_store(), 0) is None
-    assert not engine.has_productions
-
-
-def test_disable_engine():
-    engine = DiseEngine()
-    engine.add(_generic_store_production())
-    engine.enabled = False
-    assert engine.expand(_store(), 0) is None
+    assert engine.productions == ()
 
 
 def test_tie_breaks_toward_earliest_installed():
-    """Equal specificity: the earliest-installed production wins, and
-    re-adding at a preserved order restores the original priority."""
-    engine = DiseEngine()
+    """Equal specificity: the earliest production of the resident set
+    wins, whatever sets were resident before."""
     first = Production(Pattern.stores(), [original(), template(Opcode.TRAP)],
                        name="first")
     second = Production(Pattern.stores(), [original(), template(Opcode.NOP)],
                         name="second")
-    engine.add(first)
-    engine.add(second)
+    engine = _engine(first, second)
     assert engine.expand(_store(), 0x1000)[1].opcode is Opcode.TRAP
-    order = engine.remove(first)
+    engine.load((second,))
     assert engine.expand(_store(), 0x1000)[1].opcode is Opcode.NOP
-    engine.add(first, order=order)
+    engine.load((first, second))
     assert engine.expand(_store(), 0x1000)[1].opcode is Opcode.TRAP
-
-
-def test_clear_and_reset_stats():
-    engine = DiseEngine()
-    engine.add(_generic_store_production())
-    engine.expand(_store(), 0)
-    engine.clear()
-    engine.reset_stats()
-    assert engine.expansions == 0
-    assert not engine.has_productions
 
 
 def test_remove_drops_emptied_buckets():
-    """A removed production leaves no empty bucket behind, so the
-    instructions it keyed stop being candidates."""
-    engine = DiseEngine()
+    """Loading a smaller set leaves no empty bucket behind, so the
+    instructions it keyed stop being candidates; the loops' bindings
+    (refilled in place) see the change."""
     stores = _generic_store_production()
     at_pc = Production(Pattern.at_pc(0x2000), [template(Opcode.NOP)],
                        name="by-pc")
-    engine.add(stores)
-    engine.add(at_pc)
-    engine.remove(stores)
+    generic = Production(Pattern(rd=3), [template(Opcode.NOP)], name="rd3")
+    engine = DiseEngine()
+    bound = (engine._productions, engine._by_pc, engine._by_opclass,
+             engine._generic)
+    engine.load((stores, at_pc, generic))
+    assert engine._by_opclass.keys() == {stores.pattern.opclass}
+    engine.load((at_pc,))
     assert engine._by_opclass == {}
     assert engine._by_pc == {0x2000: [at_pc]}
-    engine.remove(at_pc)
-    assert engine._by_pc == {}
-    generic = Production(Pattern(rd=3), [template(Opcode.NOP)], name="rd3")
-    engine.add(generic)
-    engine.remove(generic)
     assert engine._generic == []
-    assert not engine.has_productions
+    engine.load(())
+    assert engine._by_pc == {}
+    assert bound == ([], {}, {}, [])
+    assert bound[0] is engine._productions and bound[1] is engine._by_pc
 
 
 def test_memo_builds_each_trigger_once(sequence_builds):
-    engine = DiseEngine()
-    engine.add(_generic_store_production())
+    engine = _engine(_generic_store_production())
     store = _store()
     first = engine.expand(store, 0x1000)
     assert engine.expand(store, 0x1000) is first
     assert isinstance(first, tuple) and first[0] is store
     assert sequence_builds == {0x1000: 1}
-    # Counters still count every dynamic expansion.
-    assert engine.expansions == 2
-    assert engine.instructions_inserted == 2
     # The no-match answer is remembered too.
     nop = Instruction(Opcode.NOP)
     assert engine.expand(nop, 0x1004) is None
@@ -171,8 +151,7 @@ def test_memo_builds_each_trigger_once(sequence_builds):
 
 
 def test_memo_answers_only_for_the_same_instruction(sequence_builds):
-    engine = DiseEngine()
-    engine.add(_generic_store_production())
+    engine = _engine(_generic_store_production())
     first = engine.expand(_store(base=5), 0x1000)
     # An equal but distinct instruction at the PC is another trigger.
     other = _store(base=6)
@@ -182,8 +161,7 @@ def test_memo_answers_only_for_the_same_instruction(sequence_builds):
 
 
 def test_t_pc_slots_get_each_trigger_pc():
-    engine = DiseEngine()
-    engine.add(Production(
+    engine = _engine(Production(
         Pattern.stores(),
         [template(Opcode.LDA, rd=dise_reg(1), rs1=31, imm=T.PC),
          original()], name="at-store"))
@@ -193,50 +171,69 @@ def test_t_pc_slots_get_each_trigger_pc():
     assert engine.expand(store, 0x1000)[0].imm == 0x1000
 
 
-def test_production_changes_and_flush_drop_the_memo(sequence_builds):
-    engine = DiseEngine()
+def test_each_resident_set_keeps_its_memo(sequence_builds):
+    """A set that becomes resident again finds its sequences built;
+    loading the resident set again changes nothing."""
     production = _generic_store_production()
-    engine.add(production)
-    store = _store()
-    engine.expand(store, 0x1000)
     extra = Production(Pattern.at_pc(0x2000), [template(Opcode.NOP)],
                        name="by-pc")
-    engine.add(extra)
+    engine = _engine(production)
+    store = _store()
+    sequence = engine.expand(store, 0x1000)
+    engine.load((production, extra))
+    assert engine.expand(store, 0x1000) is not sequence
+    engine.load((production,))
+    engine.load([production])
+    assert engine.expand(store, 0x1000) is sequence
+    assert sequence_builds == {0x1000: 2}
+
+
+def test_production_changes_and_flush_drop_the_memo(sequence_builds):
+    """Uninstalling a production, or a text change (flush), drops the
+    memo of every resident set."""
+    controller = DiseController(DiseEngine())
+    engine = controller.engine
+    production = controller.install(_generic_store_production())
+    store = _store()
     engine.expand(store, 0x1000)
-    engine.remove(extra)
+    extra = controller.install(Production(
+        Pattern.at_pc(0x2000), [template(Opcode.NOP)], name="by-pc"))
+    engine.expand(store, 0x1000)
+    controller.uninstall(extra)
     engine.expand(store, 0x1000)
     engine.flush()
     engine.expand(store, 0x1000)
     assert sequence_builds == {0x1000: 4}
-    engine.clear()
-    assert engine._memo == {}
+    controller.uninstall(production)
+    assert engine._memos == {(): {}}
     assert engine.expand(store, 0x1000) is None
 
 
 def test_restore_of_the_held_set_keeps_the_memo(sequence_builds):
-    engine = DiseEngine()
-    engine.add(_generic_store_production())
+    controller = DiseController(DiseEngine())
+    engine = controller.engine
+    controller.install(_generic_store_production())
     store = _store()
-    blob = engine.snapshot()
+    blob = controller.snapshot()
     sequence = engine.expand(store, 0x1000)
-    engine.restore(blob)
-    assert engine.expansions == 0
+    controller.restore(blob)
     assert engine.expand(store, 0x1000) is sequence
     assert sequence_builds == {0x1000: 1}
 
 
 def test_restore_to_another_set_rebuilds(sequence_builds):
-    engine = DiseEngine()
-    trapping = _generic_store_production()
-    engine.add(trapping)
-    blob = engine.snapshot()
+    controller = DiseController(DiseEngine())
+    engine = controller.engine
+    trapping = controller.install(_generic_store_production())
+    blob = controller.snapshot()
     store = _store()
     assert engine.expand(store, 0x1000)[1].opcode is Opcode.TRAP
-    engine.remove(trapping)
-    engine.add(Production(Pattern.stores(),
-                          [original(), template(Opcode.NOP)], name="nop"))
+    controller.uninstall(trapping)
+    controller.install(Production(Pattern.stores(),
+                                  [original(), template(Opcode.NOP)],
+                                  name="nop"))
     assert engine.expand(store, 0x1000)[1].opcode is Opcode.NOP
-    engine.restore(blob)
+    controller.restore(blob)
     assert engine.productions == (trapping,)
     assert engine.expand(store, 0x1000)[1].opcode is Opcode.TRAP
     assert sequence_builds == {0x1000: 3}

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.debugger.session import Session
 from repro.errors import AssemblyError
 from repro.isa.assembler import assemble
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import (DATA_BASE, INSTRUCTION_BYTES, DataItem,
                                Program, TEXT_BASE)
+from repro.workloads.benchmarks import build_benchmark
 
 
 def _simple_program() -> "Program":
@@ -96,12 +98,40 @@ def test_appended_code_can_reference_data_symbols():
 
 
 def test_copy_is_independent():
+    """A copy's slots, appends, labels and symbols are its own; the
+    instructions themselves are shared (nothing edits one in place)."""
     program = _simple_program()
     clone = program.copy()
-    clone.instructions[0].rd = 9
-    clone.labels["extra"] = 0
-    assert program.instructions[0].rd == 1
-    assert "extra" not in program.labels
+    assert clone.instructions == program.instructions
+    assert all(a is b for a, b in zip(clone.instructions,
+                                      program.instructions))
+    halt = program.instructions[1]
+    clone.instructions[1] = Instruction(Opcode.NOP)
+    clone.append_function("extra", [Instruction(Opcode.HALT)])
+    clone.labels["other"] = 0
+    clone.append_data("more", 8)
+    clone.statement_starts.add(1)
+    assert len(program.instructions) == 2
+    assert program.instructions[1] is halt
+    assert "extra" not in program.labels and "other" not in program.labels
+    assert "extra" not in program.symbols and "more" not in program.symbols
+    assert [item.name for item in program.data_items] == ["var"]
+    assert 1 not in program.statement_starts
+
+
+def test_a_rewritten_copy_leaves_the_source_targets_alone():
+    """The binary rewriter retargets copies of the instructions it
+    moves, never the instructions its source program holds."""
+    program = build_benchmark("mcf")
+    targets = [inst.target for inst in program.instructions]
+    session = Session(program, backend="binary_rewrite")
+    session.watch("hot")
+    rewritten = session.build_backend().program
+    assert [inst.target for inst in program.instructions] == targets
+    source = {id(inst) for inst in program.instructions}
+    moved = [inst for inst in rewritten.instructions
+             if isinstance(inst.target, int) and inst.target not in targets]
+    assert moved and not any(id(inst) in source for inst in moved)
 
 
 def test_copy_preserves_symbols_and_statements():

@@ -6,6 +6,7 @@ from repro.config import DEFAULT_CONFIG
 from repro.cpu.machine import Machine
 from repro.cpu.stats import TransitionKind
 from repro.debugger.backends import backend_class
+from repro.debugger.session import Session
 from repro.debugger.watchpoint import Watchpoint
 from repro.dise.pattern import Pattern
 from repro.dise.production import Production
@@ -15,6 +16,7 @@ from repro.isa.opcodes import Opcode
 from repro.isa.registers import dise_reg
 from repro.kernel import Kernel
 from repro.replay.reverse import ReverseController
+from repro.workloads.corpus import system_corpus
 
 TABLE = DEFAULT_CONFIG.with_(interpreter="table")
 COMPILED = DEFAULT_CONFIG.with_(interpreter="compiled",
@@ -197,9 +199,29 @@ loop:
 
 
 @pytest.mark.parametrize("tier", ("table", "compiled"))
+def test_context_switches_keep_built_sequences(tier, sequence_builds):
+    """Each process's resident set keeps its memo across context
+    switches, so a multi-process DISE session builds each trigger PC's
+    sequence once, and ends exactly where it always has."""
+    entries = system_corpus()
+    session = Session(entries.entry("yield").build(), backend="dise",
+                      config=TABLE if tier == "table" else COMPILED,
+                      processes=[entries.entry("preempt").build()],
+                      quantum=2_000)
+    session.watch("progress")
+    stats = session.run().stats
+    assert len(sequence_builds) == 4
+    assert set(sequence_builds.values()) == {1}
+    assert (stats.user_transitions, stats.dise_expansions,
+            stats.app_instructions) == (240, 243, 13_436)
+    assert session.last_backend.machine.state_fingerprint() == (
+        "c266668d57c5a69409dcf31c8620f36966081bfea3d1369af2922dc8542db6f1")
+
+
+@pytest.mark.parametrize("tier", ("table", "compiled"))
 def test_processes_get_their_own_sequence_at_a_shared_pc(tier):
-    """A store production installed straight into the engine applies
-    to every process.  Built sequences are reused only for the very
+    """Each process has its own store production, so the engine keeps
+    a memo per process.  Built sequences are reused only for the very
     instruction they were built from, so two processes holding
     different stores at one PC each expand their own trigger, and a
     ``T.PC`` slot carries each trigger's own address."""
@@ -209,10 +231,12 @@ def test_processes_get_their_own_sequence_at_a_shared_pc(tier):
     machine = Machine(first, config)
     kernel = Kernel(machine, quantum=7)
     kernel.spawn(second)
-    machine.dise_engine.add(Production(
-        Pattern.stores(),
-        [template(Opcode.LDA, rd=dise_reg(1), rs1=31, imm=T.PC),
-         original()], name="global"))
+    names = [kernel.process_state(pid).name for pid in (1, 2)]
+    for name in names:
+        machine.dise_controller.install(Production(
+            Pattern.stores(),
+            [template(Opcode.LDA, rd=dise_reg(1), rs1=31, imm=T.PC),
+             original()], name=name), target_process=name)
     expand = machine.dise_engine.expand
     seen = []
 
@@ -227,7 +251,6 @@ def test_processes_get_their_own_sequence_at_a_shared_pc(tier):
     shared = first.pc_of_index(3)
     triggers = {process: inst for process, pc, inst, _ in seen
                 if pc == shared}
-    names = [kernel.process_state(pid).name for pid in (1, 2)]
     assert triggers[names[0]] is first.instructions[3]
     assert triggers[names[1]] is second.instructions[3]
     for process, pc, inst, sequence in seen:

@@ -18,8 +18,7 @@ def _machine(**kwargs):
 def test_components_satisfy_snapshotable():
     machine = _machine()
     for component in (machine, machine.memory, machine.pagetable,
-                      machine.dise_regs, machine.dise_engine,
-                      machine.dise_controller):
+                      machine.dise_regs, machine.dise_controller):
         assert isinstance(component, Snapshotable), component
 
 
@@ -57,7 +56,8 @@ def test_auto_checkpointing_is_semantically_invisible():
     plain = _machine()
     plain.run(9_500)
 
-    chunked = _machine(config=MachineConfig(checkpoint_interval=1_000))
+    chunked = _machine()
+    chunked.enable_checkpoints(1_000)
     chunked.run(9_500)
 
     assert chunked.state_fingerprint() == plain.state_fingerprint()
@@ -134,10 +134,10 @@ def test_restore_across_reload_text_compiled(interval):
     """The compiled tier composes with reload_text-after-restore (and
     with auto-checkpointing): appended code stays callable and the
     block cache never serves blocks from before the reload."""
-    config = MachineConfig(interpreter="compiled",
-                           checkpoint_interval=interval or 0)
     program = make_watch_loop(50)
-    machine = Machine(program, config)
+    machine = Machine(program, MachineConfig(interpreter="compiled"))
+    if interval is not None:
+        machine.enable_checkpoints(interval)
     machine.run(50)
     blob = machine.snapshot()
 

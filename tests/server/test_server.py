@@ -152,6 +152,46 @@ def test_wire_backend_options_are_bad_requests(server_config):
     run_async(scenario())
 
 
+#: Backend names and options a backend does not declare: (verb, the
+#: backend name, its options).
+UNDECLARED = (
+    ("open-session", "nosuch", {}),
+    ("backend", "nosuch", {}),
+    ("experiment", "nosuch", {}),
+    ("open-session", "hardware", {"num_registers": "x"}),
+    ("open-session", "binary_rewrite", {"scratch_registers": "ab"}),
+    ("open-session", "dise", {"bogus": 1}),
+    ("open-session", "dise", {"multi_strategy": 7}),
+    ("open-session", "binary_rewrite", {"spill_mode": "yes"}),
+    ("backend", "hardware", {"check": "match-address"}),
+    ("experiment", "dise", {"bogus": 1}),
+)
+
+
+@pytest.mark.parametrize("verb, backend, options", UNDECLARED)
+def test_undeclared_backends_and_options_are_bad_requests(verb, backend,
+                                                          options):
+    """Each backend declares the options it reads; anything else from
+    the wire is refused before a session or cell is built."""
+    sid = "undeclared-options"
+    args = {"asm": count_asm(10), "backend": backend, "options": options}
+    if verb == "backend":
+        assert worker.handle({"verb": "open-session", "session": sid,
+                              "args": {"asm": count_asm(10)}})["ok"]
+        args = [backend, *(f"{key}={value}"
+                           for key, value in options.items())]
+    elif verb == "experiment":
+        args = {"benchmark": "mcf", "measure": 100, "backend": backend,
+                "options": options}
+    sessions = worker.session_count()
+    try:
+        reply = worker.handle({"verb": verb, "session": sid, "args": args})
+        assert reply["error"]["code"] == protocol.BAD_REQUEST, reply
+        assert worker.session_count() == sessions
+    finally:
+        worker.handle({"verb": "close-session", "session": sid})
+
+
 def test_over_budget_command(server_config):
     async def scenario():
         async with running_server(server_config) as server:
@@ -251,10 +291,10 @@ def test_experiment_rejects_malformed_cells(tmp_path):
                         await client.request("experiment",
                                              {"benchmark": "mcf", **extra})
                     assert excinfo.value.code == code, extra
-                # Unknown keys are accepted, as at open-session.
+                # A declared option is accepted.
                 reply = await client.request(
                     "experiment", {"benchmark": "mcf", "measure": 100,
-                                   "options": {"bogus": 1}})
+                                   "options": {"multi_strategy": "serial"}})
                 assert reply["result"]["result"]["backend"] == "dise"
 
     run_async(scenario())

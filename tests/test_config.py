@@ -23,7 +23,6 @@ def test_defaults_match_paper_machine():
     assert config.debug_costs.user_transition_cycles == 0
     assert config.branch_predictor_entries == 8192
     assert config.btb_entries == 2048
-    assert config.free_nops
     assert not config.multithreaded_dise_calls
 
 
