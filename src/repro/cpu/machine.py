@@ -63,8 +63,8 @@ from repro.isa.instruction import (H_ALU_IMM, H_ALU_LDA, H_ALU_MOV, H_ALU_REG,
                                    H_DISE_BRANCH, H_DISE_CALL, H_DISE_MOVE,
                                    H_DISE_RET, H_ERET, H_HALT, H_JUMP_BR,
                                    H_JUMP_JMP, H_JUMP_JSR, H_JUMP_RET, H_LOAD,
-                                   H_NOP, H_STORE, H_SYSCALL, H_TRAP,
-                                   NUM_HANDLERS, Instruction)
+                                   H_STORE, H_SYSCALL, H_TRAP, NUM_HANDLERS,
+                                   Instruction)
 from repro.isa.opcodes import Format, Opcode, OpClass
 from repro.isa.program import INSTRUCTION_BYTES, Program
 from repro.isa.registers import DISE_REG_BASE, ZERO_REG
@@ -252,9 +252,15 @@ class Machine:
 
         Bumps the code version: compiled blocks, decode records and
         built DISE sequences that predate the reload must not survive
-        it.  Every instruction's ``decoded`` cache is dropped (re-decoded
-        lazily) because the caller may have rewritten instruction fields
-        in place — the machine cannot tell which slots changed.
+        it.  Every instruction's ``decoded`` cache is dropped because
+        the caller may have rewritten instruction fields in place — the
+        machine cannot tell which slots changed.  Only a program the
+        caller owns outright may be edited in place: a
+        :meth:`Program.copy` shares its instruction objects with the
+        original and with every other copy, so there an edit must
+        replace the slot (:meth:`patch_text`) instead.  Machines that
+        share the instructions lose only a lookup: every tier re-derives
+        a dropped record lazily from the interned table.
         """
         for inst in self.program.instructions:
             inst.decoded = None
@@ -941,9 +947,6 @@ class Machine:
             self.dise_regs.write(inst.imm, self._read_reg(inst.rs1, False))
         self._advance()
 
-    def _h_nop(self, inst: Instruction, d, is_dise: bool) -> None:
-        self._advance()
-
     def _h_halt(self, inst: Instruction, d, is_dise: bool) -> None:
         self.halted = True
 
@@ -1002,6 +1005,7 @@ class Machine:
     # The dispatch table, in handler-index order.  Plain functions, not
     # methods bound per machine: a bound table would make every machine
     # a reference cycle, kept alive until the cycle collector runs.
+    # H_NOP has no handler: the loop elides every NOP before dispatch.
     _HANDLERS: list = [None] * NUM_HANDLERS
     _HANDLERS[H_ALU_LDA] = _h_alu_lda
     _HANDLERS[H_ALU_MOV] = _h_alu_mov
@@ -1020,7 +1024,6 @@ class Machine:
     _HANDLERS[H_DISE_CALL] = _h_dise_call
     _HANDLERS[H_DISE_RET] = _h_dise_ret
     _HANDLERS[H_DISE_MOVE] = _h_dise_move
-    _HANDLERS[H_NOP] = _h_nop
     _HANDLERS[H_HALT] = _h_halt
     _HANDLERS[H_CODEWORD] = _h_codeword
     _HANDLERS[H_SYSCALL] = _h_syscall

@@ -25,7 +25,7 @@ from repro.isa.program import Program
 class Option(NamedTuple):
     """A backend option a caller may set: the type its JSON value must
     have, its default, and the values it may take (every value of the
-    type when empty; an array option's elements otherwise)."""
+    type when empty).  A ``tuple`` option's value is an array of ints."""
 
     type: type
     default: Any = None
@@ -33,13 +33,14 @@ class Option(NamedTuple):
 
     def accepts(self, value: Any) -> bool:
         """Does ``value``, as decoded from JSON, mean what it says?"""
-        if self.type is tuple:  # an array of ints, as long as the default
-            return (type(value) in (list, tuple)
-                    and len(value) == len(self.default)
-                    and all(type(item) is int and item in self.choices
-                            for item in value))
-        return (type(value) is self.type
-                and (not self.choices or value in self.choices))
+        if self.type is tuple:
+            if (type(value) not in (list, tuple)
+                    or any(type(item) is not int for item in value)):
+                return False
+            value = tuple(value)
+        elif type(value) is not self.type:
+            return False
+        return not self.choices or value in self.choices
 
 
 #: The values of a count option (``quantum``, ``num_registers``).

@@ -33,7 +33,15 @@ from repro.errors import DebuggerError, UnsupportedWatchpointError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode, OpClass
 from repro.isa.program import INSTRUCTION_BYTES, Program, TEXT_BASE
-from repro.isa.registers import NUM_GPRS
+from repro.isa.registers import NUM_GPRS, SP, ZERO_REG
+
+_USABLE = [reg for reg in range(NUM_GPRS) if reg not in (SP, ZERO_REG)]
+#: The scratch pairs the inline check works with: two distinct GPRs
+#: (one holds the store address while the other takes each compare),
+#: neither the zero register nor the stack pointer, which no program
+#: leaves dead.
+SCRATCH_PAIRS = frozenset((s1, s2) for s1 in _USABLE for s2 in _USABLE
+                          if s1 != s2)
 
 
 class BinaryRewriteBackend(DebuggerBackend):
@@ -43,7 +51,7 @@ class BinaryRewriteBackend(DebuggerBackend):
     transforms_program = True
     OPTIONS = {
         **DebuggerBackend.OPTIONS,
-        "scratch_registers": Option(tuple, (27, 28), range(NUM_GPRS)),
+        "scratch_registers": Option(tuple, (27, 28), SCRATCH_PAIRS),
         "spill_mode": Option(bool, False),
     }
 

@@ -127,7 +127,6 @@ class DiseController:
         self._installed = (self._installed[:index]
                            + self._installed[index + 1:])
         self._load()
-        self.engine.flush()  # no memo may name an uninstalled production
 
     def deactivate(self, production: Production) -> None:
         """Temporarily disable without freeing table space."""
@@ -155,7 +154,6 @@ class DiseController:
         """Remove every installed production."""
         self._installed = ()
         self._load()
-        self.engine.flush()
 
     def _set_active(self, production: Production, active: bool) -> None:
         index = self._index(production)
@@ -191,13 +189,7 @@ class DiseController:
 
     def restore(self, blob: tuple) -> None:
         """Reset to a previous :meth:`snapshot` and reload the engine
-        with that snapshot's resident set.  A production the snapshot
-        does not hold is uninstalled, as by :meth:`uninstall`."""
-        kept = {entry.production for entry in blob[0]}
-        uninstalled = any(entry.production not in kept
-                          for entry in self._installed)
+        with that snapshot's resident set."""
         self._installed, trusted, self.process_name = blob
         self.trusted_principals = set(trusted)
         self._load()
-        if uninstalled:
-            self.engine.flush()

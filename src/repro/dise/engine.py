@@ -27,11 +27,8 @@ depends only on the trigger instruction and its PC, so the engine
 builds it once per trigger PC and keeps it, as an immutable tuple (or
 the no-match answer), with the trigger it was built from.  An entry
 answers only while the instruction fetched at its PC is that same
-object.  The engine keeps one such memo per resident set, so a set
-that becomes resident again (a context switch back, a re-activated
-watchpoint, a restore) finds its sequences built; :meth:`flush` drops
-every memo (the machine calls it on each text change, the controller
-on each uninstall).
+object.  The memo belongs to the resident set: :meth:`load` empties it
+when the set changes, and :meth:`flush` empties it on each text change.
 
 The engine itself knows nothing about DISEPC control flow — branch,
 call, and return semantics of replacement sequences are interpreted by
@@ -48,7 +45,6 @@ from repro.isa.opcodes import OpClass
 from repro.dise.production import Production
 
 Expansion = tuple[Instruction, ...]
-Memo = dict[int, tuple[Instruction, Optional[Expansion]]]
 
 
 class DiseEngine:
@@ -63,10 +59,8 @@ class DiseEngine:
         self._by_opclass: dict[OpClass, list[Production]] = {}
         self._generic: list[Production] = []
         self._resident: tuple[Production, ...] = ()
-        # Resident set -> its memo, trigger PC -> (trigger, sequence or
-        # None); _memo is the current set's (see expand()).
-        self._memos: dict[tuple[Production, ...], Memo] = {}
-        self._memo: Memo = self._memos.setdefault((), {})
+        # Trigger PC -> (trigger, sequence or None); see expand().
+        self._memo: dict[int, tuple[Instruction, Optional[Expansion]]] = {}
 
     @property
     def productions(self) -> tuple[Production, ...]:
@@ -97,12 +91,11 @@ class DiseEngine:
                 self._generic.append(production)
                 continue
             bucket.setdefault(key, []).append(production)
-        self._memo = self._memos.setdefault(productions, {})
+        self._memo.clear()
 
     def flush(self) -> None:
-        """Forget every built sequence, under every resident set."""
-        self._memos.clear()
-        self._memo = self._memos[self._resident] = {}
+        """Forget every built sequence (the text changed)."""
+        self._memo.clear()
 
     # -- expansion -------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Expansion engine: bucketing, most-specific-wins, per-set memos."""
+"""Expansion engine: bucketing, most-specific-wins, the expansion memo."""
 
 from repro.dise.controller import DiseController
 from repro.dise.engine import DiseEngine
@@ -171,26 +171,28 @@ def test_t_pc_slots_get_each_trigger_pc():
     assert engine.expand(store, 0x1000)[0].imm == 0x1000
 
 
-def test_each_resident_set_keeps_its_memo(sequence_builds):
-    """A set that becomes resident again finds its sequences built;
-    loading the resident set again changes nothing."""
+def test_loading_another_set_drops_the_memo(sequence_builds):
+    """Loading the resident set again keeps its sequences; loading
+    another set starts an empty memo."""
     production = _generic_store_production()
     extra = Production(Pattern.at_pc(0x2000), [template(Opcode.NOP)],
                        name="by-pc")
     engine = _engine(production)
     store = _store()
     sequence = engine.expand(store, 0x1000)
-    engine.load((production, extra))
-    assert engine.expand(store, 0x1000) is not sequence
-    engine.load((production,))
     engine.load([production])
     assert engine.expand(store, 0x1000) is sequence
-    assert sequence_builds == {0x1000: 2}
+    engine.load((production, extra))
+    assert engine._memo == {}
+    assert engine.expand(store, 0x1000) is not sequence
+    engine.load((production,))
+    engine.expand(store, 0x1000)
+    assert sequence_builds == {0x1000: 3}
 
 
 def test_production_changes_and_flush_drop_the_memo(sequence_builds):
-    """Uninstalling a production, or a text change (flush), drops the
-    memo of every resident set."""
+    """Installing or uninstalling a resident production, or a text
+    change (flush), drops the memo."""
     controller = DiseController(DiseEngine())
     engine = controller.engine
     production = controller.install(_generic_store_production())
@@ -205,7 +207,7 @@ def test_production_changes_and_flush_drop_the_memo(sequence_builds):
     engine.expand(store, 0x1000)
     assert sequence_builds == {0x1000: 4}
     controller.uninstall(production)
-    assert engine._memos == {(): {}}
+    assert engine._memo == {}
     assert engine.expand(store, 0x1000) is None
 
 

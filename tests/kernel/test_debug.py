@@ -199,10 +199,10 @@ loop:
 
 
 @pytest.mark.parametrize("tier", ("table", "compiled"))
-def test_context_switches_keep_built_sequences(tier, sequence_builds):
-    """Each process's resident set keeps its memo across context
-    switches, so a multi-process DISE session builds each trigger PC's
-    sequence once, and ends exactly where it always has."""
+def test_multi_process_dise_session_ends_where_it_always_has(tier):
+    """Context switches reload the engine with each process's resident
+    set; a two-process DISE session still stops, expands and ends
+    exactly as it always has."""
     entries = system_corpus()
     session = Session(entries.entry("yield").build(), backend="dise",
                       config=TABLE if tier == "table" else COMPILED,
@@ -210,8 +210,6 @@ def test_context_switches_keep_built_sequences(tier, sequence_builds):
                       quantum=2_000)
     session.watch("progress")
     stats = session.run().stats
-    assert len(sequence_builds) == 4
-    assert set(sequence_builds.values()) == {1}
     assert (stats.user_transitions, stats.dise_expansions,
             stats.app_instructions) == (240, 243, 13_436)
     assert session.last_backend.machine.state_fingerprint() == (
@@ -220,11 +218,11 @@ def test_context_switches_keep_built_sequences(tier, sequence_builds):
 
 @pytest.mark.parametrize("tier", ("table", "compiled"))
 def test_processes_get_their_own_sequence_at_a_shared_pc(tier):
-    """Each process has its own store production, so the engine keeps
-    a memo per process.  Built sequences are reused only for the very
-    instruction they were built from, so two processes holding
-    different stores at one PC each expand their own trigger, and a
-    ``T.PC`` slot carries each trigger's own address."""
+    """Each process has its own store production, so each context
+    switch loads another resident set.  Built sequences are reused only
+    for the very instruction they were built from, so two processes
+    holding different stores at one PC each expand their own trigger,
+    and a ``T.PC`` slot carries each trigger's own address."""
     config = TABLE if tier == "table" else COMPILED
     first = assemble(SHARED_PC.format(store="stq r1, 0(r5)"))
     second = assemble(SHARED_PC.format(store="stq r1, 16(sp)"))

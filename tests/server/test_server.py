@@ -11,7 +11,7 @@ import asyncio
 
 import pytest
 
-from repro.debugger.dispatcher import CommandDispatcher
+from repro.debugger.dispatcher import CommandDispatcher, check_backend_options
 from repro.isa import assemble
 from repro.server import protocol, worker
 from repro.server.client import ServerError
@@ -160,6 +160,9 @@ UNDECLARED = (
     ("experiment", "nosuch", {}),
     ("open-session", "hardware", {"num_registers": "x"}),
     ("open-session", "binary_rewrite", {"scratch_registers": "ab"}),
+    ("open-session", "binary_rewrite", {"scratch_registers": [27, 27]}),
+    ("open-session", "binary_rewrite", {"scratch_registers": [31, 31]}),
+    ("open-session", "binary_rewrite", {"scratch_registers": [30, 27]}),
     ("open-session", "dise", {"bogus": 1}),
     ("open-session", "dise", {"multi_strategy": 7}),
     ("open-session", "binary_rewrite", {"spill_mode": "yes"}),
@@ -190,6 +193,15 @@ def test_undeclared_backends_and_options_are_bad_requests(verb, backend,
         assert worker.session_count() == sessions
     finally:
         worker.handle({"verb": "close-session", "session": sid})
+
+
+@pytest.mark.parametrize("backend, options", (
+    ("binary_rewrite", {"scratch_registers": [9, 28], "spill_mode": True}),
+    ("binary_rewrite", {"scratch_registers": [28, 27]}),
+    ("dise", {"multi_strategy": "serial", "protect": True}),
+    ("hardware", {"num_registers": 2, "quantum": 0})))
+def test_declared_options_pass_the_check(backend, options):
+    check_backend_options(backend, options)
 
 
 def test_over_budget_command(server_config):
