@@ -18,8 +18,8 @@ keyword-only.
   engine; returns a :class:`~repro.harness.figures.FigureResult`.
 * :func:`timeline` — record a checkpointed run of the program and
   return a :class:`~repro.timetravel.TimelineQuery` answering
-  ``last_write``/``first_write``/``seek_transition``/``value_at``
-  time-travel queries over it.
+  ``last_write``/``first_write``/``seek_transition``/``seek_until``/
+  ``value_at`` time-travel queries over it.
 
 Example::
 
@@ -122,7 +122,6 @@ def timeline(program: ProgramLike, *,
              max_app_instructions: Optional[int] = None,
              checkpoint_interval: int = 10_000,
              checkpoint_capacity: int = 64,
-             cache=None,
              **backend_options):
     """Record a run of ``program`` and return its time-travel query API.
 
@@ -132,13 +131,10 @@ def timeline(program: ProgramLike, *,
     until it halts or ``max_app_instructions`` is reached, and returns
     a :class:`~repro.timetravel.TimelineQuery` bound to the recorded
     history.  The returned query object answers ``last_write``,
-    ``first_write``, ``seek_transition`` and ``value_at``; its
+    ``first_write``, ``seek_transition``, ``seek_until`` and
+    ``value_at`` by re-executing bounded checkpoint windows; its
     ``.controller`` exposes the live session for further forward or
     reverse navigation.
-
-    Pass a :class:`~repro.harness.cache.TimelineQueryCache` (or
-    ``cache=True`` for the environment-configured default) to memoize
-    answers on disk per code version.
     """
     session = debug(program, backend=backend, watch=watch,
                     break_at=break_at, config=config, **backend_options)
@@ -149,15 +145,9 @@ def timeline(program: ProgramLike, *,
         run = controller.resume(max_app_instructions)
         if run.halted or not run.stopped_at_user:
             break
-    if cache is True:
-        from repro.harness.cache import default_timeline_cache
-
-        cache = default_timeline_cache()
-    elif cache is False:
-        cache = None
     from repro.timetravel import TimelineQuery
 
-    return TimelineQuery(controller, cache=cache)
+    return TimelineQuery(controller)
 
 
 def experiment(*,

@@ -32,7 +32,7 @@ Invalidation: compiled blocks are specialized against a captured
 environment — the machine's ``text_version`` (bumped by ``reload_text``,
 ``patch_text``, and self-modifying stores into text), the DISE engine's
 resident productions (compared by identity and order, which covers
-controller install/uninstall/activate/deactivate *and* per-process
+controller install/activate/deactivate and restore *and* per-process
 gating at context switches — a process whose resident set is unchanged
 when it is scheduled back in keeps its compiled blocks), the identity
 of ``instrumentation_pcs``, and the store-observability predicates.

@@ -29,11 +29,14 @@ from repro.config import MachineConfig
 from repro.debugger.backends import BACKENDS
 from repro.debugger.expressions import parse_expression
 from repro.debugger.session import Session, _undebugged_run
-from repro.debugger.verbs import REGISTRY, spec_for
+from repro.debugger.verbs import REGISTRY, parse_count, spec_for
 from repro.errors import ReproError
 from repro.isa.program import Program
 
 DEFAULT_STEP = 1_000_000
+#: Most quads one ``x`` dumps: a 4 KiB page, whose reply fits one wire
+#: frame at any 64-bit address.
+MAX_DUMP_QUADS = 512
 
 #: Stable machine-readable failure codes (the server's wire contract).
 BAD_REQUEST = "bad-request"
@@ -65,11 +68,6 @@ class CommandResult:
 class CommandDispatcher:
     """Execute debugger verbs against one session; return structure."""
 
-    #: Verb name -> handler method name, derived from the declarative
-    #: registry (:data:`repro.debugger.verbs.REGISTRY`) — kept as a
-    #: mapping for introspection and historical callers.
-    VERBS = {spec.name: spec.method for spec in REGISTRY}
-
     def __init__(self, program: Program, backend: str = "dise",
                  config: Optional[MachineConfig] = None, *,
                  record_fingerprints: bool = False,
@@ -90,7 +88,7 @@ class CommandDispatcher:
     @classmethod
     def verbs(cls) -> tuple[str, ...]:
         """Every verb this dispatcher understands (registry order)."""
-        return tuple(cls.VERBS)
+        return tuple(spec.name for spec in REGISTRY)
 
     def dispatch(self, verb: str, args: list[str]) -> CommandResult:
         """Run one verb; raise :class:`CommandError` on any failure."""
@@ -138,7 +136,12 @@ class CommandDispatcher:
         location, condition = self._split_condition(args)
         target: object = location
         if location.startswith("0x") or location.isdigit():
-            target = int(location, 0)
+            try:
+                target = int(location, 0)
+            except ValueError:
+                raise CommandError(
+                    f"bad location {location!r}; usage: break "
+                    f"LOCATION [if COND]") from None
         bp = self.session.break_at(target, condition=condition)
         self._invalidate()
         return CommandResult(
@@ -149,9 +152,9 @@ class CommandDispatcher:
 
     def cmd_delete(self, args: list[str]) -> CommandResult:
         """delete N — remove watchpoint/breakpoint number N."""
-        if len(args) != 1 or not args[0].isdigit():
+        number = parse_count(args[0]) if len(args) == 1 else None
+        if number is None:
             raise CommandError("usage: delete N")
-        number = int(args[0])
         for point in self.session.watchpoints + self.session.breakpoints:
             if point.number == number:
                 self.session.delete(point)
@@ -285,11 +288,9 @@ class CommandDispatcher:
         return CommandResult("continue", **self._continue(args))
 
     def _continue(self, args: list[str]) -> dict:
-        budget = self.default_step
-        if args:
-            if not args[0].isdigit():
-                raise CommandError("usage: continue [N]")
-            budget = int(args[0])
+        budget = parse_count(args[0]) if args else self.default_step
+        if budget is None:
+            raise CommandError("usage: continue [N]")
         backend = self._ensure_backend()
         machine = backend.machine
         target = machine.stats.app_instructions + budget
@@ -326,11 +327,9 @@ class CommandDispatcher:
 
     def cmd_rewind(self, args: list[str]) -> CommandResult:
         """rewind [N] (reverse-step) — step back N app instructions."""
-        instructions = 1
-        if args:
-            if not args[0].isdigit():
-                raise CommandError("usage: rewind [N]")
-            instructions = int(args[0])
+        instructions = parse_count(args[0]) if args else 1
+        if instructions is None:
+            raise CommandError("usage: rewind [N]")
         backend = self._ensure_backend()
         self._controller.reverse_step(instructions)
         self._instructions_run = backend.machine.stats.app_instructions
@@ -384,11 +383,11 @@ class CommandDispatcher:
 
     def cmd_seek_transition(self, args: list[str]) -> CommandResult:
         """seek-transition EXPR N — move to the Nth change of EXPR."""
-        if len(args) < 2 or not args[-1].isdigit():
+        n = parse_count(args[-1]) if len(args) >= 2 else None
+        if n is None:
             raise CommandError("usage: seek-transition EXPR N")
         expression = " ".join(args[:-1])
-        result = self._timeline_query().seek_transition(expression,
-                                                        int(args[-1]))
+        result = self._timeline_query().seek_transition(expression, n)
         self._instructions_run = \
             self._backend_obj.machine.stats.app_instructions
         return CommandResult("seek-transition", result.to_dict(),
@@ -419,11 +418,11 @@ class CommandDispatcher:
     def cmd_value_at(self, args: list[str]) -> CommandResult:
         """value-at EXPR ORDINAL — evaluate EXPR as of an instruction
         count."""
-        if len(args) < 2 or not args[-1].isdigit():
+        ordinal = parse_count(args[-1]) if len(args) >= 2 else None
+        if ordinal is None:
             raise CommandError("usage: value-at EXPR ORDINAL")
         expression = " ".join(args[:-1])
-        result = self._timeline_query().value_at(expression,
-                                                 int(args[-1]))
+        result = self._timeline_query().value_at(expression, ordinal)
         return CommandResult("value-at", result.to_dict(),
                              result.describe())
 
@@ -491,14 +490,15 @@ class CommandDispatcher:
 
     def cmd_x(self, args: list[str]) -> CommandResult:
         """x ADDR|SYMBOL [QUADS] — dump memory."""
-        if not args:
-            raise CommandError("usage: x ADDR|SYMBOL [QUADS]")
+        count = parse_count(args[1]) if len(args) > 1 else 4
+        if not args or count is None or count > MAX_DUMP_QUADS:
+            raise CommandError(f"usage: x ADDR|SYMBOL [QUADS] (QUADS: 0 to "
+                               f"{MAX_DUMP_QUADS})")
         backend = self._ensure_backend()
         try:
             address = int(args[0], 0)
         except ValueError:
             address = backend.program.address_of(args[0])
-        count = int(args[1]) if len(args) > 1 else 4
         memory = backend.machine.memory
         words = []
         lines = []

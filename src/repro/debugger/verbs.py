@@ -1,9 +1,9 @@
 """The declarative debugger verb registry.
 
-One table describes every debugger verb — its name, aliases, argument
-schema, help line, instruction-budget class, and whether it needs
-recorded execution history — and three consumers are generated from it
-so they can never drift:
+One table describes every debugger verb — its name, aliases, help
+line, instruction-budget class, and whether it needs recorded
+execution history — and three consumers are generated from it so they
+can never drift:
 
 * :class:`repro.debugger.dispatcher.CommandDispatcher` dispatches
   through :data:`REGISTRY` (``spec.method`` names the handler);
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["VerbSpec", "REGISTRY", "spec_for", "command_verbs",
-           "budget_verbs", "alias_map", "help_lines"]
+           "budget_verbs", "alias_map", "help_lines", "parse_count"]
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,6 @@ class VerbSpec:
     name: str
     #: ``CommandDispatcher`` handler method name.
     method: str
-    #: Argument schema, e.g. ``"EXPR [if COND]"`` (empty = no args).
-    schema: str
     #: Full help line shown by the REPL's ``help``.
     usage: str
     #: Shell abbreviations that expand to this verb (never on the wire).
@@ -51,56 +49,55 @@ class VerbSpec:
 
 
 REGISTRY: tuple[VerbSpec, ...] = (
-    VerbSpec("watch", "cmd_watch", "EXPR [if COND]",
+    VerbSpec("watch", "cmd_watch",
              "watch EXPR [if COND] — set a (conditional) watchpoint.",
              aliases=("w",)),
-    VerbSpec("break", "cmd_break", "LOCATION [if COND]",
+    VerbSpec("break", "cmd_break",
              "break LOCATION [if COND] — set a (conditional) breakpoint.",
              aliases=("b",)),
-    VerbSpec("delete", "cmd_delete", "N",
+    VerbSpec("delete", "cmd_delete",
              "delete N — remove watchpoint/breakpoint number N."),
-    VerbSpec("info", "cmd_info", "TOPIC",
+    VerbSpec("info", "cmd_info",
              "info watchpoints|breakpoints|stats|backend|checkpoints"),
-    VerbSpec("backend", "cmd_backend", "NAME [key=value ...]",
+    VerbSpec("backend", "cmd_backend",
              "backend NAME [key=value ...] — choose the implementation."),
-    VerbSpec("run", "cmd_run", "[N]",
+    VerbSpec("run", "cmd_run",
              "run [N] — (re)start and run up to N application instructions.",
              aliases=("r",), budget_arg=0),
-    VerbSpec("continue", "cmd_continue", "[N]",
+    VerbSpec("continue", "cmd_continue",
              "continue [N] — resume until the next hit, halt, or N instrs.",
              aliases=("c",), budget_arg=0),
-    VerbSpec("checkpoint", "cmd_checkpoint", "",
+    VerbSpec("checkpoint", "cmd_checkpoint",
              "checkpoint — snapshot the current state for later rewinds."),
-    VerbSpec("rewind", "cmd_rewind", "[N]",
+    VerbSpec("rewind", "cmd_rewind",
              "rewind [N] (reverse-step) — step back N app instructions.",
              aliases=("rs", "reverse-step"), budget_arg=0,
              needs_history=True),
-    VerbSpec("reverse-continue", "cmd_reverse_continue", "",
+    VerbSpec("reverse-continue", "cmd_reverse_continue",
              "reverse-continue (rc) — run back to the previous stop.",
              aliases=("rc",), needs_history=True),
-    VerbSpec("last-write", "cmd_last_write", "ADDR|SYMBOL",
+    VerbSpec("last-write", "cmd_last_write",
              "last-write ADDR|SYMBOL — find the newest store to an address.",
              needs_history=True),
-    VerbSpec("first-write", "cmd_first_write", "ADDR|SYMBOL",
+    VerbSpec("first-write", "cmd_first_write",
              "first-write ADDR|SYMBOL — find the oldest store to an address.",
              needs_history=True),
-    VerbSpec("seek-transition", "cmd_seek_transition", "EXPR N",
+    VerbSpec("seek-transition", "cmd_seek_transition",
              "seek-transition EXPR N — move to the Nth change of EXPR.",
              needs_history=True),
-    VerbSpec("seek-until", "cmd_seek_until", "EXPR CMP VALUE",
+    VerbSpec("seek-until", "cmd_seek_until",
              "seek-until EXPR CMP VALUE — move to where EXPR CMP VALUE "
              "first holds.",
              needs_history=True),
-    VerbSpec("value-at", "cmd_value_at", "EXPR ORDINAL",
+    VerbSpec("value-at", "cmd_value_at",
              "value-at EXPR ORDINAL — evaluate EXPR as of an instruction "
              "count.",
              budget_arg=1, needs_history=True),
-    VerbSpec("print", "cmd_print", "EXPR",
+    VerbSpec("print", "cmd_print",
              "print EXPR — evaluate an expression in the debuggee.",
              aliases=("p",)),
-    VerbSpec("x", "cmd_x", "ADDR|SYMBOL [QUADS]",
-             "x ADDR|SYMBOL [QUADS] — dump memory."),
-    VerbSpec("overhead", "cmd_overhead", "",
+    VerbSpec("x", "cmd_x", "x ADDR|SYMBOL [QUADS] — dump memory."),
+    VerbSpec("overhead", "cmd_overhead",
              "overhead — debugged vs undebugged cost so far."),
 )
 
@@ -131,3 +128,13 @@ def alias_map() -> dict[str, str]:
 def help_lines() -> list[str]:
     """One usage line per verb, in registry order."""
     return [spec.usage for spec in REGISTRY]
+
+
+def parse_count(text: str) -> Optional[int]:
+    """A count argument (budget, ordinal, number) as a non-negative
+    decimal integer, or None when it is not one.  ``str.isdecimal``
+    rather than ``isdigit``: ``"²"`` is a digit that ``int`` refuses."""
+    try:
+        return int(text) if text.isdecimal() else None
+    except ValueError:  # more digits than int() converts
+        return None

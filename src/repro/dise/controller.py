@@ -93,7 +93,7 @@ class DiseController:
                 f"untrusted principal {principal!r} may not install "
                 f"productions for process {target_process!r}")
 
-    # -- install / remove --------------------------------------------------------
+    # -- install / activate ------------------------------------------------
 
     def install(self, production: Production, principal: str = "debugger",
                 target_process: str | None = None) -> Production:
@@ -121,13 +121,6 @@ class DiseController:
                                  for production in productions)
         self._load()
 
-    def uninstall(self, production: Production) -> None:
-        """Remove a production and free its table space."""
-        index = self._index(production)
-        self._installed = (self._installed[:index]
-                           + self._installed[index + 1:])
-        self._load()
-
     def deactivate(self, production: Production) -> None:
         """Temporarily disable without freeing table space."""
         self._set_active(production, False)
@@ -148,11 +141,6 @@ class DiseController:
         intent survives any number of switches.
         """
         self.process_name = process_name
-        self._load()
-
-    def uninstall_all(self) -> None:
-        """Remove every installed production."""
-        self._installed = ()
         self._load()
 
     def _set_active(self, production: Production, active: bool) -> None:

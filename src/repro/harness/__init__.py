@@ -15,7 +15,7 @@
 """
 
 from repro.harness.cache import ResultCache, code_version, default_cache
-from repro.harness.experiment import (ExperimentSettings, Cell, CellSpec,
+from repro.harness.experiment import (ExperimentSettings, CellSpec,
                                       execute_spec, run_baseline, run_cell,
                                       run_spec, clear_baseline_cache)
 from repro.harness.runner import Runner, RunReport
@@ -26,7 +26,6 @@ from repro.harness.figures import (FigureResult, figure3, figure4, figure5,
 
 __all__ = [
     "ExperimentSettings",
-    "Cell",
     "CellSpec",
     "ResultCache",
     "Runner",

@@ -1,4 +1,4 @@
-"""Persistent on-disk record stores: results, query answers, checkpoints.
+"""Persistent on-disk record stores: experiment results and checkpoints.
 
 Everything the harness persists goes through one :class:`RecordStore`:
 a directory of records, one file per key, under ``.repro_cache/``
@@ -11,14 +11,15 @@ record carries the same envelope — ``format``, ``code_version``, the
 ``key`` payload, and the ``result`` — and is written to a temporary
 file and renamed into place, so a crash leaves the old record or none.
 
-Three kinds of record share the store and differ only in where they
-live and how the ``result`` is encoded:
+Two kinds of record share the store and differ only in where they live
+and how the ``result`` is encoded:
 
 * :class:`ResultCache` — experiment cells, ``RunResult`` as JSON;
-* :class:`TimelineQueryCache` — time-travel answers under
-  ``timeline/``, ``QueryResult`` as JSON;
 * :class:`WarmCheckpointCache` — post-warm-up machine checkpoints under
   ``checkpoints/``, pickled.
+
+Time-travel answers are not stored: a query re-executes bounded
+checkpoint windows on demand (:mod:`repro.timetravel`).
 
 A record that cannot be read or decoded — truncated, corrupt,
 hand-edited, or written by another format or code version — is a
@@ -188,31 +189,6 @@ class ResultCache(RecordStore):
         run = RunResult.from_dict(result)
         run.from_cache = True
         return run
-
-
-def default_timeline_cache() -> "TimelineQueryCache":
-    """The environment-configured timeline query cache."""
-    return TimelineQueryCache(default_cache_dir(), enabled=cache_enabled())
-
-
-class TimelineQueryCache(RecordStore):
-    """Persisted time-travel query answers.
-
-    Records live as JSON under ``<cache_dir>/timeline/``, keyed by a
-    content hash of the query identity — program content digest,
-    backend, machine config, debug plan, the recorded-history extent
-    (genesis/position/stop count), the query verb and its arguments.
-    Deterministic replay makes a hit exact: the same history extent
-    under the same code can only re-derive the same answer, fingerprint
-    included.
-    """
-
-    subdir = "timeline"
-
-    def _decode(self, result):
-        from repro.timetravel.engine import QueryResult
-
-        return QueryResult.from_dict(result)
 
 
 def default_warm_cache() -> "WarmCheckpointCache":

@@ -16,7 +16,7 @@ A cell's identity is captured by the picklable, hashable
 on-disk :class:`~repro.harness.cache.ResultCache`), and the parallel
 engine (:class:`repro.harness.runner.Runner`) fans many specs out over
 worker processes.  Results are the unified, serializable
-:class:`repro.results.RunResult`; ``Cell`` is a compatibility alias.
+:class:`repro.results.RunResult`.
 
 Unsupported combinations (e.g. hardware registers + INDIRECT) return a
 cell marked unsupported, mirroring the missing bars of Figures 3 and 4.
@@ -49,10 +49,6 @@ def _build_workload(name: str):
     from repro.workloads.corpus import build_workload
 
     return build_workload(name)
-
-# Compatibility alias: the unified result type plays the former Cell's
-# role (same leading field order, same attributes).
-Cell = RunResult
 
 _DEFAULT_MEASURE = 50_000
 _DEFAULT_WARMUP = 50_000

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.config import DEFAULT_CONFIG
-from repro.harness.experiment import Cell, CellSpec, ExperimentSettings
+from repro.harness.experiment import CellSpec, ExperimentSettings
 from repro.harness.runner import Runner, RunReport
+from repro.results import RunResult
 from repro.workloads.benchmarks import BENCHMARK_NAMES
 
 SCALAR_KINDS = ("HOT", "WARM1", "WARM2", "COLD")
@@ -54,12 +55,12 @@ class FigureResult:
 
     name: str
     description: str
-    cells: list[Cell]
+    cells: list[RunResult]
     row_keys: tuple[str, ...] = ()  # how to group rows when formatting
     column_label: str = "backend"
     report: Optional[RunReport] = None  # telemetry of the producing run
 
-    def cell(self, **criteria) -> Optional[Cell]:
+    def cell(self, **criteria) -> Optional[RunResult]:
         """First cell whose attributes match all ``criteria``."""
         for cell in self.cells:
             if all(getattr(cell, key) == value
@@ -272,7 +273,7 @@ def format_figure(result: FigureResult) -> str:
     for cell in result.cells:
         if cell.backend not in backends:
             backends.append(cell.backend)
-    rows: dict[tuple[str, str], dict[str, Cell]] = {}
+    rows: dict[tuple[str, str], dict[str, RunResult]] = {}
     for cell in result.cells:
         rows.setdefault((cell.benchmark, cell.kind), {})[cell.backend] = cell
     width = max(len(b) for b in backends) + 2

@@ -2,36 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from repro.harness.figures import FigureResult, format_figure
-from repro.harness.runner import RunReport
-from repro.harness.tables import (BenchmarkCharacterization, format_table1,
-                                  format_table2)
-
-
-def render(results: Iterable) -> str:
-    """Render a mixed list of figure/table results."""
-    parts = []
-    for result in results:
-        if isinstance(result, FigureResult):
-            parts.append(format_figure(result))
-            if result.report is not None:
-                parts.append(render_report(result.report))
-        elif isinstance(result, RunReport):
-            parts.append(render_report(result))
-        elif isinstance(result, list) and result and isinstance(
-                result[0], BenchmarkCharacterization):
-            parts.append(format_table1(result))
-            parts.append(format_table2(result))
-        else:
-            parts.append(str(result))
-    return "\n\n".join(parts)
-
-
-def render_report(report: RunReport) -> str:
-    """One-line engine telemetry (cells computed/cached/failed, rate)."""
-    return f"[engine] {report.summary()}"
+from repro.harness.figures import FigureResult
 
 
 def render_distribution(result: FigureResult, *, bins: int = 10) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.debugger.verbs import spec_for
+from repro.debugger.verbs import parse_count, spec_for
 
 
 class TokenBucket:
@@ -86,8 +86,7 @@ class InstructionBudget:
         index = spec.budget_arg if spec is not None else None
         if index is None or len(args) <= index:
             return None
-        head = str(args[index])
-        return int(head) if head.isdigit() else None
+        return parse_count(str(args[index]))
 
     def admit(self, verb: str, args: list) -> Optional[str]:
         """None to admit, or a rejection message for ``over-budget``."""

@@ -19,17 +19,19 @@ registry (:data:`repro.debugger.verbs.REGISTRY`), currently ``watch``,
 ``break``, ``delete``, ``info``, ``backend``, ``run``, ``continue``,
 ``checkpoint``, ``rewind``, ``reverse-continue``, ``print``, ``x``,
 ``overhead`` and the time-travel queries ``last-write``,
-``first-write``, ``seek-transition``, ``value-at`` — plus the server
-verbs ``open-session``, ``close-session``, ``ping``, ``info server``
-(handled in the event loop) and ``experiment`` (served cache-first
-from the session's worker shard).
+``first-write``, ``seek-transition``, ``seek-until``, ``value-at`` —
+plus the server verbs ``open-session``, ``close-session``, ``ping``,
+``info server`` (handled in the event loop) and ``experiment`` (served
+cache-first from the session's worker shard).
 
 Error codes are stable: admission rejections are ``busy``, instruction
 budgets ``over-budget``, replay nondeterminism ``replay-divergence``,
 history verbs before the first checkpoint ``no-checkpoint``, a crashed
 worker ``session-lost``; framing problems are ``bad-frame`` (malformed
-JSON — the connection survives) or ``oversized-frame`` (the connection
-closes, since framing can no longer be trusted).
+JSON — the connection survives) or ``oversized-frame``.  An oversized
+request closes the connection, since framing can no longer be trusted;
+a reply too large for one frame is replaced by an ``oversized-frame``
+error carrying the request id, and the connection survives.
 """
 
 from __future__ import annotations

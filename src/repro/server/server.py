@@ -212,44 +212,54 @@ class DebugServer:
                     # Frame exceeded the read limit: framing is no
                     # longer trustworthy, so reply and hang up.
                     self.metrics.frame_errors += 1
-                    await self._send(writer, protocol.error_reply(
-                        None, protocol.OVERSIZED_FRAME,
-                        f"frame exceeds {self.config.max_frame_bytes} "
-                        f"bytes"))
+                    await self._send(writer, protocol.encode_reply(
+                        protocol.error_reply(
+                            None, protocol.OVERSIZED_FRAME,
+                            f"frame exceeds {self.config.max_frame_bytes} "
+                            f"bytes")))
                     break
                 if not line:
                     break  # EOF
                 if not line.strip():
                     continue
                 self.metrics.frames += 1
-                reply = await self._handle_line(line)
-                await self._send(writer, reply)
+                await self._send(writer, await self._handle_line(line))
         except (ConnectionResetError, BrokenPipeError):
             pass  # mid-command disconnect: the session stays open
 
     async def _send(self, writer: asyncio.StreamWriter,
-                    reply: dict) -> None:
+                    frame: bytes) -> None:
         try:
-            writer.write(protocol.encode_reply(reply))
+            writer.write(frame)
             await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass  # client left mid-reply; the command already ran
 
-    async def _handle_line(self, line: bytes) -> dict:
+    async def _handle_line(self, line: bytes) -> bytes:
+        """One request line in, one reply frame out (always)."""
         started = time.perf_counter()
         try:
             request = protocol.decode_request(line)
         except protocol.ProtocolError as exc:
             self.metrics.frame_errors += 1
-            self.metrics.record("<frame>", time.perf_counter() - started,
-                                False)
-            return protocol.error_reply(getattr(exc, "request_id", None),
-                                        exc.code, str(exc))
-        reply = await self._handle_request(request)
-        reply["id"] = request.id
+            request = protocol.Request("<frame>",
+                                       id=getattr(exc, "request_id", None))
+            reply = protocol.error_reply(request.id, exc.code, str(exc))
+        else:
+            reply = await self._handle_request(request)
+            reply["id"] = request.id
+        try:
+            frame = protocol.encode_reply(reply)
+        except protocol.ProtocolError as exc:
+            # The reply does not fit one frame.  Framing in both
+            # directions is intact, so say so and keep the connection.
+            reply = protocol.error_reply(
+                request.id, exc.code, f"reply not sent: {exc}",
+                session=request.session)
+            frame = protocol.encode_reply(reply)
         self.metrics.record(request.verb, time.perf_counter() - started,
                             bool(reply.get("ok")))
-        return reply
+        return frame
 
     # -- request handling --------------------------------------------------
 

@@ -21,9 +21,10 @@ demand*.  A query
 Queries are side-effect-free unless documented otherwise: the engine
 snapshots the live backend, detaches the controller's checkpoint store
 for the duration (window replays must not feed the history that
-defines them), and restores everything on exit.  Only
-:meth:`TimelineQuery.seek_transition` moves the session — that is its
-purpose — and it does so through
+defines them), and restores everything on exit.  The two seeks,
+:meth:`TimelineQuery.seek_transition` and
+:meth:`TimelineQuery.seek_until`, move the session — that is their
+purpose — and they do so through
 :meth:`repro.replay.ReverseController.seek`, so stops passed through
 are re-recorded just as ``reverse_step`` would.
 
@@ -31,12 +32,6 @@ A window replay that halts or stops before reaching its recorded end
 raises :class:`~repro.replay.ReplayDivergenceError`: recorded history
 no longer reproduces, and no timeline answer derived from it would be
 trustworthy.
-
-Query results are cacheable per code version through
-:class:`repro.harness.cache.TimelineQueryCache`; the cache key binds
-the program content, backend, machine config, debug plan, and the
-exact recorded-history extent, so a hit is only possible when
-deterministic replay would reproduce the identical answer.
 """
 
 from __future__ import annotations
@@ -72,7 +67,7 @@ class TransitionEvent:
 
 @dataclass
 class QueryResult:
-    """One timeline query's answer (JSON-able, wire- and cache-ready)."""
+    """One timeline query's answer (JSON-able, wire-ready)."""
 
     query: str
     target: str
@@ -95,16 +90,13 @@ class QueryResult:
     state_fingerprint: str = ""
     windows_scanned: int = 0
     instructions_replayed: int = 0
+    #: Always False: every answer is re-derived by replay.  The key
+    #: stays because every history-verb reply on the wire carries it.
     from_cache: bool = False
 
     def to_dict(self) -> dict:
-        """A JSON-serializable rendering (the wire/cache format)."""
+        """A JSON-serializable rendering (the wire format)."""
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "QueryResult":
-        """Rebuild a result from its :meth:`to_dict` rendering."""
-        return cls(**record)
 
     def describe(self) -> str:
         """The REPL's one-line rendering of the answer."""
@@ -141,13 +133,10 @@ class TimelineQuery:
     makes them immutable for the controller's lifetime.
     """
 
-    def __init__(self, controller: ReverseController, *,
-                 cache=None, cache_scope: Optional[dict] = None):
+    def __init__(self, controller: ReverseController):
         self.controller = controller
         self.backend = controller.backend
         self.machine = controller.machine
-        self.cache = cache
-        self._cache_scope = dict(cache_scope or {})
         self._window_events: dict[tuple[int, int], list[StoreEvent]] = {}
         self._window_transitions: dict[tuple[int, int, str],
                                        list[TransitionEvent]] = {}
@@ -177,9 +166,8 @@ class TimelineQuery:
         """
         address, size = self._resolve_target(target)
         replayed_before = self._replayed
-        with self._query_context():
+        with self._query_context() as end:
             genesis = self.controller.store.oldest
-            end = self._history_end()
             events = self._scan(genesis, end, memoize=False)
             matches = [e for e in events if e.overlaps(address, size)]
             event = matches[-1] if matches else None
@@ -195,85 +183,43 @@ class TimelineQuery:
         """Move the session to just after the Nth (1-based) transition
         of a static scalar ``expression``.
 
-        This is the one query that relocates the live machine: after
-        the bisected scan finds the transition, the controller seeks to
-        its ordinal (re-recording stops passed through, exactly like
-        ``rewind``).  Raises :class:`TimelineError` when fewer than N
-        transitions exist.
+        After the bisected scan finds the transition, the controller
+        seeks to its ordinal (re-recording stops passed through, exactly
+        like ``rewind``).  Raises :class:`TimelineError` when fewer than
+        N transitions exist.
         """
         expr = self._transition_expression(expression)
         if n < 1:
             raise TimelineError("transition ordinal is 1-based")
-        # Capture the cache identity *before* relocating: a later lookup
-        # is issued from the pre-seek position, so the answer must be
-        # stored under that position too.
-        payload = None
-        if self.cache is not None:
-            payload = self._cache_payload("seek-transition", [expression, n])
-        cached = self._cache_load("seek-transition", [expression, n])
         replayed_before = self._replayed
-        if cached is not None:
-            event = TransitionEvent(cached.app_instructions, cached.pc,
-                                    cached.old_value, cached.value)
-        else:
-            event = None
-            seen = 0
-            windows_scanned = 0
-            with self._query_context():
-                for checkpoint, end in self._windows():
-                    transitions = self._transitions_in(
-                        checkpoint, end, expression, expr)
-                    windows_scanned += 1
-                    if seen + len(transitions) >= n:
-                        event = transitions[n - 1 - seen]
-                        break
-                    seen += len(transitions)
-            if event is None:
+        seen = 0
+        with self._query_context() as end:
+            for event, windows_scanned in self._each_transition(
+                    expression, expr, end):
+                seen += 1
+                if seen == n:
+                    break
+            else:
                 raise TimelineError(
                     f"only {seen} transition(s) of {expression!r} in "
                     f"recorded history")
-        # Relocate the session onto the transition (the answering store
-        # has committed at this ordinal; see store_log's timing notes).
-        self.controller.seek(event.app_instructions)
-        fingerprint = self.backend.state_fingerprint()
-        if cached is not None:
-            if (cached.state_fingerprint
-                    and cached.state_fingerprint != fingerprint):
-                raise ReplayDivergenceError(
-                    f"seek-transition re-landed at "
-                    f"{event.app_instructions:,} with a different state "
-                    f"fingerprint than the cached answer — recorded "
-                    f"history no longer reproduces")
-            cached.from_cache = True
-            return cached
-        result = QueryResult(
-            "seek-transition", expression, True,
-            app_instructions=event.app_instructions, pc=event.pc,
-            ordinal=event.app_instructions, transition=n,
-            value=_jsonable(event.new_value),
-            old_value=_jsonable(event.old_value),
-            state_fingerprint=fingerprint,
+        return self._land(
+            "seek-transition", expression, event, pc=event.pc, transition=n,
             windows_scanned=windows_scanned,
             instructions_replayed=self._replayed - replayed_before)
-        if payload is not None:
-            self.cache.store(self.cache.key_for(payload), result,
-                             payload=payload)
-        return result
 
     def seek_until(self, expression: str, cmp: str,
                    value: int) -> QueryResult:
         """Move the session to the first point in recorded history
         where ``expression CMP value`` holds.
 
-        A predicate-directed seek: windows are scanned oldest-first
-        through the same memoized transition machinery as
-        :meth:`seek_transition`, and the scan stops at the first window
-        containing a satisfying value — on long traces only a prefix of
-        history is replayed.  Like ``seek-transition`` this relocates
-        the live machine (via :meth:`ReverseController.seek`, so stops
-        passed through are re-recorded).  If the predicate already
-        holds at the start of recorded history the session seeks there;
-        if it never holds, :class:`TimelineError`.
+        A predicate-directed seek over the same oldest-first scan as
+        :meth:`seek_transition`: the scan stops at the first transition
+        whose new value satisfies the predicate, so on long traces only
+        a prefix of history is replayed.  If the predicate already
+        holds at the start of recorded history the session seeks there
+        (``windows_scanned`` 0, no old value); if it never holds,
+        :class:`TimelineError`.
         """
         expr = self._transition_expression(expression)
         predicate = _COMPARATORS.get(cmp)
@@ -282,90 +228,42 @@ class TimelineQuery:
                 f"unknown comparator {cmp!r}; expected one of "
                 f"{', '.join(sorted(_COMPARATORS))}")
         target = f"{expression} {cmp} {value}"
-        payload = None
-        if self.cache is not None:
-            payload = self._cache_payload("seek-until",
-                                          [expression, cmp, value])
-        cached = self._cache_load("seek-until", [expression, cmp, value])
         replayed_before = self._replayed
-        windows_scanned = 0
-        if cached is not None:
-            landing = cached.app_instructions
-            landing_value = cached.value
-            landing_old = cached.old_value
-        else:
-            landing = None
-            landing_value = None
-            landing_old = None
-            with self._query_context():
-                genesis = self.controller.store.oldest
-                # Window extents must be computed before the baseline
-                # replay below rewinds the machine (history's end is
-                # the live position).
-                windows = self._windows()
-                # Already true at the start of recorded history?
-                self._replay(genesis, genesis.app_instructions)
-                start_value = expr.evaluate(self.backend.resolver,
-                                            self.machine.memory)
-                if predicate(start_value, value):
-                    landing = genesis.app_instructions
-                    landing_value = start_value
-                else:
-                    for checkpoint, end in windows:
-                        transitions = self._transitions_in(
-                            checkpoint, end, expression, expr)
-                        windows_scanned += 1
-                        hit = next((t for t in transitions
-                                    if predicate(t.new_value, value)), None)
-                        if hit is not None:
-                            landing = hit.app_instructions
-                            landing_value = hit.new_value
-                            landing_old = hit.old_value
-                            break
-            if landing is None:
+        with self._query_context() as end:
+            genesis = self.controller.store.oldest
+            self._replay(genesis, genesis.app_instructions)
+            start = TransitionEvent(
+                genesis.app_instructions, self.machine.pc, None,
+                expr.evaluate(self.backend.resolver, self.machine.memory))
+            if predicate(start.new_value, value):
+                hit, windows_scanned = start, 0
+            else:
+                hit, windows_scanned = next(
+                    ((event, windows) for event, windows
+                     in self._each_transition(expression, expr, end)
+                     if predicate(event.new_value, value)), (None, 0))
+            if hit is None:
                 raise TimelineError(
                     f"{target} never holds in recorded history")
-        self.controller.seek(landing)
-        fingerprint = self.backend.state_fingerprint()
-        if cached is not None:
-            if (cached.state_fingerprint
-                    and cached.state_fingerprint != fingerprint):
-                raise ReplayDivergenceError(
-                    f"seek-until re-landed at {landing:,} with a "
-                    f"different state fingerprint than the cached answer "
-                    f"— recorded history no longer reproduces")
-            cached.from_cache = True
-            return cached
-        result = QueryResult(
-            "seek-until", target, True, app_instructions=landing,
-            pc=self.machine.pc, ordinal=landing,
-            value=_jsonable(landing_value), old_value=_jsonable(landing_old),
-            state_fingerprint=fingerprint, windows_scanned=windows_scanned,
+        return self._land(
+            "seek-until", target, hit, windows_scanned=windows_scanned,
             instructions_replayed=self._replayed - replayed_before)
-        if payload is not None:
-            self.cache.store(self.cache.key_for(payload), result,
-                             payload=payload)
-        return result
 
     def transitions(self, expression: str) -> list[TransitionEvent]:
         """Every transition of ``expression`` in recorded history
         (bisected scan; side-effect-free)."""
         expr = self._transition_expression(expression)
-        out: list[TransitionEvent] = []
-        with self._query_context():
-            for checkpoint, end in self._windows():
-                out.extend(self._transitions_in(checkpoint, end,
-                                                expression, expr))
-        return out
+        with self._query_context() as end:
+            return [event for event, _ in
+                    self._each_transition(expression, expr, end)]
 
     def transitions_linear(self, expression: str) -> list[TransitionEvent]:
         """Ground-truth transition list: one unmemoized replay of the
         whole trace from genesis (parity reference for tests)."""
         expr = self._transition_expression(expression)
-        with self._query_context():
-            genesis = self.controller.store.oldest
-            return self._scan_transitions(genesis, self._history_end(),
-                                          expr)
+        with self._query_context() as end:
+            return self._scan_transitions(self.controller.store.oldest,
+                                          end, expr)
 
     def value_at(self, expression: str, ordinal: int) -> QueryResult:
         """Evaluate ``expression`` as of application-instruction
@@ -383,10 +281,6 @@ class TimelineQuery:
             raise TimelineError(
                 f"ordinal {ordinal:,} is outside recorded history "
                 f"[{genesis_app:,}, {now:,}]")
-        cached = self._cache_load("value-at", [expression, ordinal])
-        if cached is not None:
-            cached.from_cache = True
-            return cached
         replayed_before = self._replayed
         with self._query_context():
             checkpoint = self.controller.store.nearest_at_or_before(ordinal)
@@ -396,33 +290,27 @@ class TimelineQuery:
             value = expr.evaluate(self.backend.resolver, self.machine.memory)
             fingerprint = self.backend.state_fingerprint()
             pc = self.machine.pc
-        result = QueryResult(
+        return QueryResult(
             "value-at", expression, True, app_instructions=ordinal, pc=pc,
             ordinal=ordinal, value=_jsonable(value),
             state_fingerprint=fingerprint, windows_scanned=1,
             instructions_replayed=self._replayed - replayed_before)
-        self._cache_store("value-at", [expression, ordinal], result)
-        return result
 
     # -- write-query machinery ------------------------------------------------
 
     def _write_query(self, query: str, target: str, *,
                      newest_first: bool) -> QueryResult:
         address, size = self._resolve_target(target)
-        cached = self._cache_load(query, [target])
-        if cached is not None:
-            cached.from_cache = True
-            return cached
         replayed_before = self._replayed
         event = None
         fingerprint = ""
         windows_scanned = 0
-        with self._query_context():
-            windows = self._windows()
+        with self._query_context() as end:
+            windows = self._windows(end)
             if newest_first:
-                windows = list(reversed(windows))
-            for checkpoint, end in windows:
-                events = self._scan(checkpoint, end)
+                windows.reverse()
+            for checkpoint, upper in windows:
+                events = self._scan(checkpoint, upper)
                 windows_scanned += 1
                 matches = [e for e in events if e.overlaps(address, size)]
                 if matches:
@@ -435,12 +323,10 @@ class TimelineQuery:
                     landing = self.controller.store.oldest
                 self._replay(landing, event.app_instructions)
                 fingerprint = self.backend.state_fingerprint()
-        result = self._write_result(
+        return self._write_result(
             query, target, address, size, event, fingerprint,
             windows_scanned=windows_scanned,
             replayed=self._replayed - replayed_before)
-        self._cache_store(query, [target], result)
-        return result
 
     def _write_result(self, query: str, target: str, address: int,
                       size: int, event: Optional[StoreEvent],
@@ -456,6 +342,34 @@ class TimelineQuery:
             address=event.address, size=event.size, value=event.value,
             old_value=event.old_value, state_fingerprint=fingerprint,
             windows_scanned=windows_scanned, instructions_replayed=replayed)
+
+    # -- seek machinery -------------------------------------------------------
+
+    def _each_transition(self, expression: str, expr, end: int):
+        """Yield ``(transition, windows scanned so far)`` for every
+        transition of ``expr`` in recorded history, oldest first,
+        replaying (or reading from the memo) one window at a time."""
+        for scanned, (checkpoint, upper) in enumerate(self._windows(end), 1):
+            for event in self._transitions_in(checkpoint, upper,
+                                              expression, expr):
+                yield event, scanned
+
+    def _land(self, query: str, target: str, event: TransitionEvent, *,
+              pc: Optional[int] = None, **fields) -> QueryResult:
+        """Relocate the session onto ``event`` and report the landing.
+
+        The answering store has committed at ``event.app_instructions``
+        (see store_log's timing notes).  ``pc`` defaults to the landed
+        machine's PC.
+        """
+        ordinal = event.app_instructions
+        self.controller.seek(ordinal)
+        return QueryResult(
+            query, target, True, app_instructions=ordinal,
+            pc=self.machine.pc if pc is None else pc, ordinal=ordinal,
+            value=_jsonable(event.new_value),
+            old_value=_jsonable(event.old_value),
+            state_fingerprint=self.backend.state_fingerprint(), **fields)
 
     # -- bounded re-execution ---------------------------------------------
 
@@ -473,19 +387,16 @@ class TimelineQuery:
         saved_observer = machine.store_observer
         try:
             machine.checkpoint_store = None
-            yield
+            yield machine.stats.app_instructions
         finally:
             machine.store_observer = saved_observer
             self.backend.restore(saved)
             machine.checkpoint_store = saved_store
 
-    def _history_end(self) -> int:
-        return self.machine.stats.app_instructions
-
-    def _windows(self) -> list[tuple[object, int]]:
-        """(checkpoint, end_app) extents covering recorded history."""
+    def _windows(self, end: int) -> list[tuple[object, int]]:
+        """(checkpoint, end_app) extents covering recorded history up to
+        ``end``, the live position when the query began."""
         checkpoints = list(self.controller.store)
-        end = self._history_end()
         windows = []
         for i, checkpoint in enumerate(checkpoints):
             upper = (checkpoints[i + 1].app_instructions
@@ -614,43 +525,6 @@ class TimelineQuery:
                 f"watch scalar expressions")
         return expr
 
-    # -- result cache -------------------------------------------------------
-
-    def _cache_payload(self, query: str, args: list) -> dict:
-        machine = self.machine
-        payload = {
-            "query": query,
-            "args": [str(a) for a in args],
-            "genesis": self.controller.store.oldest.app_instructions,
-            "position": machine.stats.app_instructions,
-            "stops": len(self.controller.stops),
-            "backend": self.backend.name,
-            "config": repr(machine.config),
-            "watch": [wp.describe() for wp in
-                      getattr(self.backend, "watchpoints", ())],
-            "break": [bp.describe() for bp in
-                      getattr(self.backend, "breakpoints", ())],
-        }
-        program = getattr(self.backend, "program", None)
-        if program is not None:
-            payload["program"] = program.content_digest()
-        payload.update(self._cache_scope)
-        return payload
-
-    def _cache_load(self, query: str, args: list) -> Optional[QueryResult]:
-        if self.cache is None:
-            return None
-        return self.cache.load(
-            self.cache.key_for(self._cache_payload(query, args)))
-
-    def _cache_store(self, query: str, args: list,
-                     result: QueryResult) -> None:
-        if self.cache is None:
-            return
-        payload = self._cache_payload(query, args)
-        self.cache.store(self.cache.key_for(payload), result,
-                         payload=payload)
-
 
 #: Comparators accepted by :meth:`TimelineQuery.seek_until`.
 _COMPARATORS = {
@@ -664,7 +538,7 @@ _COMPARATORS = {
 
 
 def _jsonable(value):
-    """Render an expression value wire- and cache-safe."""
+    """Render an expression value wire-safe."""
     if isinstance(value, bytes):
         return value.hex(" ")
     return value

@@ -56,23 +56,6 @@ class StoreEvent:
         """Does this store touch any byte of [address, address+size)?"""
         return self.address < address + size and address < self.end
 
-    def to_dict(self) -> dict:
-        """A JSON-serializable rendering of the event."""
-        return {
-            "app_instructions": self.app_instructions,
-            "pc": self.pc,
-            "address": self.address,
-            "size": self.size,
-            "value": self.value,
-            "old_value": self.old_value,
-            "dise": self.dise,
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "StoreEvent":
-        """Rebuild an event from its :meth:`to_dict` rendering."""
-        return cls(**record)
-
 
 class StoreLogRecorder:
     """Callable store observer that appends to a private event list.

@@ -265,7 +265,7 @@ def test_removed_store_production_leaves_stores_to_compiled_blocks():
     engine = machine.dise_engine
     machine.dise_controller.install(stores)
     machine.dise_controller.install(at_halt)
-    machine.dise_controller.uninstall(stores)
+    machine.dise_controller.deactivate(stores)
     assert store_pc not in engine._by_pc
     assert engine._by_opclass == {}
     machine.run()

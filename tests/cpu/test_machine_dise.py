@@ -456,7 +456,7 @@ def test_production_changes_rebuild_sequences(sequence_builds):
     pc = machine._text_base + 4 * STORE_INDEX
     controller = machine.dise_controller
     machine.run(max_app_instructions=3 + 4 * 2)
-    controller.uninstall(first)
+    controller.deactivate(first)
     controller.install(second)
     machine.run()
     assert (machine.dise_regs.read(0), machine.dise_regs.read(1)) == (2, 4)
@@ -486,7 +486,7 @@ def test_restore_to_a_different_production_set(sequence_builds):
     controller = machine.dise_controller
     machine.run(max_app_instructions=3 + 4 * 2)
     blob = machine.snapshot()
-    controller.uninstall(first)
+    controller.deactivate(first)
     controller.install(second)
     machine.run()
     assert machine.dise_regs.read(1) == 4

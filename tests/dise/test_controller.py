@@ -49,15 +49,6 @@ def test_replacement_table_capacity():
         controller.install(_production(length=3, name="b"))
 
 
-def test_uninstall_frees_capacity():
-    controller, engine = _controller(pattern_entries=1)
-    production = _production()
-    controller.install(production)
-    controller.uninstall(production)
-    assert engine.productions == ()
-    controller.install(_production(name="again"))
-
-
 def test_deactivate_keeps_table_space():
     controller, engine = _controller(pattern_entries=1)
     production = _production()
@@ -95,15 +86,6 @@ def test_trusted_principals_may_cross():
     controller, _ = _controller()
     controller.install(_production(), principal="debugger")
     controller.install(_production(name="q"), principal="os")
-
-
-def test_uninstall_all():
-    controller, engine = _controller()
-    controller.install(_production(name="a"))
-    controller.install(_production(name="b"))
-    controller.uninstall_all()
-    assert controller.pattern_entries_used == 0
-    assert engine.productions == ()
 
 
 def test_unknown_production_raises():

@@ -1,11 +1,11 @@
 """Stateful property test: the controller's table has one owner.
 
 Random interleavings of install (for either of two processes),
-deactivate/activate, uninstall, context switches and snapshot/restore
-must keep three invariants: (1) the engine holds exactly the resident
-set — the active productions aimed at the running process, in install
-order, (2) table accounting matches the installed set, and (3)
-capacity is never exceeded.
+deactivate/activate, context switches and snapshot/restore must keep
+three invariants: (1) the engine holds exactly the resident set — the
+active productions aimed at the running process, in install order,
+(2) table accounting matches the installed set, and (3) capacity is
+never exceeded.
 """
 
 from hypothesis import strategies as st
@@ -81,13 +81,6 @@ class ControllerMachine(RuleBasedStateMachine):
             return
         self.controller.activate(production)
         self.model[id(production)][2] = True
-
-    @rule(production=productions)
-    def uninstall(self, production):
-        if id(production) not in self.model:
-            return
-        self.controller.uninstall(production)
-        del self.model[id(production)]
 
     @rule(process=st.sampled_from(PROCESSES))
     def context_switch(self, process):

@@ -191,7 +191,7 @@ def test_loading_another_set_drops_the_memo(sequence_builds):
 
 
 def test_production_changes_and_flush_drop_the_memo(sequence_builds):
-    """Installing or uninstalling a resident production, or a text
+    """Installing or deactivating a resident production, or a text
     change (flush), drops the memo."""
     controller = DiseController(DiseEngine())
     engine = controller.engine
@@ -201,12 +201,12 @@ def test_production_changes_and_flush_drop_the_memo(sequence_builds):
     extra = controller.install(Production(
         Pattern.at_pc(0x2000), [template(Opcode.NOP)], name="by-pc"))
     engine.expand(store, 0x1000)
-    controller.uninstall(extra)
+    controller.deactivate(extra)
     engine.expand(store, 0x1000)
     engine.flush()
     engine.expand(store, 0x1000)
     assert sequence_builds == {0x1000: 4}
-    controller.uninstall(production)
+    controller.deactivate(production)
     assert engine._memo == {}
     assert engine.expand(store, 0x1000) is None
 
@@ -230,7 +230,7 @@ def test_restore_to_another_set_rebuilds(sequence_builds):
     blob = controller.snapshot()
     store = _store()
     assert engine.expand(store, 0x1000)[1].opcode is Opcode.TRAP
-    controller.uninstall(trapping)
+    controller.deactivate(trapping)
     controller.install(Production(Pattern.stores(),
                                   [original(), template(Opcode.NOP)],
                                   name="nop"))

@@ -1,5 +1,5 @@
 """The persistent on-disk record stores: one set of store tests over
-all three record kinds (results, timeline answers, checkpoints)."""
+both record kinds (results, checkpoints)."""
 
 import errno
 import json
@@ -9,12 +9,10 @@ import pickle
 import pytest
 
 from repro.harness.cache import (CACHE_FORMAT, ResultCache,
-                                 TimelineQueryCache, WarmCheckpointCache,
-                                 code_version)
+                                 WarmCheckpointCache, code_version)
 from repro.harness.experiment import (_BASELINE_CACHE, clear_baseline_cache,
                                       run_baseline)
 from repro.results import RunResult
-from repro.timetravel.engine import QueryResult
 
 
 @pytest.fixture
@@ -55,17 +53,10 @@ class _Unencodable:
         raise RuntimeError("boom")
 
 
-def make_query() -> QueryResult:
-    return QueryResult("last-write", "hot", True, app_instructions=40,
-                       pc=0x1000, address=0x2000, size=8, value=20,
-                       old_value=5, state_fingerprint="f" * 16)
-
-
 #: Every record kind: its store over a directory, a value it holds, and
 #: a plain view of such values for comparing a loaded one.
 KINDS = {
     "result": (ResultCache, make_result, RunResult.to_dict),
-    "timeline": (TimelineQueryCache, make_query, QueryResult.to_dict),
     "warm": (WarmCheckpointCache, lambda: {"regs": list(range(32))},
              lambda blob: blob),
 }

@@ -1,9 +1,6 @@
 """Experiment runner: cells, baselines, unsupported combinations."""
 
-import pytest
-
-from repro.harness.experiment import (Cell, ExperimentSettings, run_baseline,
-                                      run_cell, _BASELINE_CACHE)
+from repro.harness.experiment import ExperimentSettings, run_baseline, run_cell
 
 
 def test_baseline_cached(tiny_settings):

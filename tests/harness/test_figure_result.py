@@ -1,14 +1,14 @@
 """FigureResult query helpers and formatting."""
 
-from repro.harness.experiment import Cell
 from repro.harness.figures import FigureResult, format_figure, _fmt
+from repro.results import RunResult
 
 
 def _result():
     return FigureResult("demo", "description", [
-        Cell("bzip2", "HOT", "dise", 1.25, user_transitions=5),
-        Cell("bzip2", "HOT", "hardware", 120.0),
-        Cell("bzip2", "RANGE", "hardware", None,
+        RunResult("bzip2", "HOT", "dise", 1.25, user_transitions=5),
+        RunResult("bzip2", "HOT", "hardware", 120.0),
+        RunResult("bzip2", "RANGE", "hardware", None,
              unsupported_reason="non-scalar"),
     ])
 

@@ -1,18 +1,17 @@
 """Report rendering helpers."""
 
-from repro.harness.experiment import Cell
 from repro.harness.figures import FigureResult
-from repro.harness.report import headline_summary, render
-from repro.harness.tables import BenchmarkCharacterization
+from repro.harness.report import headline_summary
+from repro.results import RunResult
 
 
 def _fig3_like():
     cells = []
     for bench in ("bzip2", "twolf"):
-        cells.append(Cell(bench, "HOT", "single_step", 30_000.0))
-        cells.append(Cell(bench, "HOT", "dise", 1.2))
-        cells.append(Cell(bench, "COLD", "single_step", 40_000.0))
-        cells.append(Cell(bench, "COLD", "dise", 1.1))
+        cells.append(RunResult(bench, "HOT", "single_step", 30_000.0))
+        cells.append(RunResult(bench, "HOT", "dise", 1.2))
+        cells.append(RunResult(bench, "COLD", "single_step", 40_000.0))
+        cells.append(RunResult(bench, "COLD", "dise", 1.1))
     return FigureResult("figure3", "demo", cells)
 
 
@@ -21,18 +20,3 @@ def test_headline_summary():
     assert "single-stepping slowdown" in text
     assert "30,000x - 40,000x" in text
     assert "DISE overhead" in text
-
-
-def test_render_mixed_results():
-    characterization = BenchmarkCharacterization(
-        name="bzip2", function="generateMTFValues", instructions=1000,
-        ipc=2.2, store_density=0.19,
-        paper_instructions=10 ** 9, paper_ipc=2.45,
-        paper_store_density=0.198,
-        write_freq={k: 1.0 for k in
-                    ("HOT", "WARM1", "WARM2", "COLD", "INDIRECT", "RANGE")},
-        silent_fraction={})
-    text = render([_fig3_like(), [characterization], "a plain string"])
-    assert "figure3" in text
-    assert "Table 1" in text
-    assert "a plain string" in text

@@ -11,7 +11,8 @@ import asyncio
 
 import pytest
 
-from repro.debugger.dispatcher import CommandDispatcher, check_backend_options
+from repro.debugger.dispatcher import (MAX_DUMP_QUADS, CommandDispatcher,
+                                       check_backend_options)
 from repro.isa import assemble
 from repro.server import protocol, worker
 from repro.server.client import ServerError
@@ -217,6 +218,69 @@ def test_over_budget_command(server_config):
                 # A within-budget command still works afterwards.
                 result = await client.command(sid, "run", ["10000"])
                 assert result["halted"] is True
+
+    run_async(scenario())
+
+
+#: ``hot`` counts as in ``count_asm``, beside a 24,000-byte array whose
+#: printed bytes cannot fit one frame.
+BIG_ASM = count_asm(50).replace(".data\n", ".data\nbig: .space 24000\n", 1)
+
+#: Arguments from the wire and the coded reply each must end in.
+#: ``"²"`` is a digit to ``str.isdigit`` that ``int`` refuses, and
+#: ``int`` refuses more than 4,300 digits.
+BAD_ARGUMENTS = (
+    ("x", ["hot", "abc"], protocol.BAD_REQUEST),
+    ("x", ["hot", "1e3"], protocol.BAD_REQUEST),
+    ("x", ["hot", "²"], protocol.BAD_REQUEST),
+    ("x", ["hot", "2000"], protocol.BAD_REQUEST),
+    ("x", ["hot", "99999999999999999999999"], protocol.BAD_REQUEST),
+    ("break", ["0x"], protocol.BAD_REQUEST),
+    ("break", ["0x1g"], protocol.BAD_REQUEST),
+    ("break", ["0123"], protocol.BAD_REQUEST),
+    ("break", ["²"], protocol.BAD_REQUEST),
+    ("delete", ["²"], protocol.BAD_REQUEST),
+    ("continue", ["²"], protocol.BAD_REQUEST),
+    ("continue", ["9" * 5000], protocol.BAD_REQUEST),
+    ("rewind", ["²"], protocol.BAD_REQUEST),
+    ("seek-transition", ["hot", "²"], protocol.BAD_REQUEST),
+    ("value-at", ["hot", "²"], protocol.BAD_REQUEST),
+    ("print", ["big[0:24000]"], protocol.OVERSIZED_FRAME),
+)
+
+
+@pytest.mark.parametrize("verb, args, code", BAD_ARGUMENTS,
+                         ids=lambda value: str(value)[:24])
+def test_bad_arguments_end_in_coded_replies(tmp_path, verb, args, code):
+    """Each case gets an error reply with its code, the request id and
+    the session; the call counts as an error, and the same connection
+    then serves a full-page ``x`` dump in one frame."""
+    async def scenario():
+        async with running_server(thread_config(tmp_path)) as server:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port, limit=protocol.MAX_FRAME_BYTES)
+
+            async def request(request_id, verb, args, session=None):
+                writer.write(protocol.encode_request(
+                    verb, args, session=session, request_id=request_id))
+                await writer.drain()
+                return protocol.decode_reply(await reader.readline())
+
+            try:
+                opened = await request(1, "open-session", {"asm": BIG_ASM})
+                sid = opened["result"]["session"]
+                assert (await request(2, "run", ["20"], sid))["ok"]
+                reply = await request(3, verb, args, sid)
+                assert (reply["ok"], reply["id"]) == (False, 3)
+                assert (reply["error"]["code"],
+                        reply["error"]["session"]) == (code, sid)
+                assert server.metrics.verbs[verb].errors == 1
+                dump = await request(4, "x", ["hot", str(MAX_DUMP_QUADS)],
+                                     sid)
+                assert (dump["ok"], dump["id"]) == (True, 4)
+                assert len(dump["result"]["words"]) == MAX_DUMP_QUADS
+            finally:
+                writer.close()
 
     run_async(scenario())
 

@@ -6,19 +6,19 @@ import pytest
 
 from repro.analysis import (backend_geomeans, geomean, render_chart,
                             summarize_figure)
-from repro.harness.experiment import Cell
 from repro.harness.figures import FigureResult
+from repro.results import RunResult
 
 
 def _result():
     cells = [
-        Cell("bzip2", "HOT", "single_step", 40_000.0,
+        RunResult("bzip2", "HOT", "single_step", 40_000.0,
              spurious_transitions=9000),
-        Cell("bzip2", "HOT", "dise", 1.25),
-        Cell("bzip2", "INDIRECT", "single_step", 39_000.0,
+        RunResult("bzip2", "HOT", "dise", 1.25),
+        RunResult("bzip2", "INDIRECT", "single_step", 39_000.0,
              spurious_transitions=9000),
-        Cell("bzip2", "INDIRECT", "dise", 1.5),
-        Cell("bzip2", "INDIRECT", "hardware", None,
+        RunResult("bzip2", "INDIRECT", "dise", 1.5),
+        RunResult("bzip2", "INDIRECT", "hardware", None,
              unsupported_reason="indirect"),
     ]
     return FigureResult("demo", "a demo grid", cells)
@@ -55,8 +55,8 @@ class TestBackendSummaries:
         assert "hardware" not in summaries
 
     def test_unsupported_counted(self):
-        cells = [Cell("b", "K", "hw", 2.0),
-                 Cell("b", "J", "hw", None)]
+        cells = [RunResult("b", "K", "hw", 2.0),
+                 RunResult("b", "J", "hw", None)]
         summary = backend_geomeans(FigureResult("x", "", cells))["hw"]
         assert summary.unsupported == 1
 
@@ -82,14 +82,14 @@ class TestChart:
         assert stepping_bar > 4 * dise_bar
 
     def test_no_bar_for_unity(self):
-        cells = [Cell("b", "K", "hw", 1.0), Cell("b", "K", "ss", 1000.0)]
+        cells = [RunResult("b", "K", "hw", 1.0), RunResult("b", "K", "ss", 1000.0)]
         text = render_chart(FigureResult("x", "", cells))
         hw_line = next(line for line in text.splitlines()
                        if "hw" in line and "|" in line)
         assert "#" not in hw_line
 
     def test_empty_grid(self):
-        result = FigureResult("empty", "", [Cell("b", "K", "hw", None)])
+        result = FigureResult("empty", "", [RunResult("b", "K", "hw", None)])
         assert "no supported cells" in render_chart(result)
 
 
@@ -116,11 +116,11 @@ class TestPercentile:
 
 class TestOverheadDistributions:
     def _corpus_result(self):
-        cells = [Cell(f"w{i}", "CORPUS", "dise", 1.0 + 0.1 * i)
+        cells = [RunResult(f"w{i}", "CORPUS", "dise", 1.0 + 0.1 * i)
                  for i in range(10)]
-        cells += [Cell(f"w{i}", "CORPUS", "single_step", 10_000.0 * (i + 1))
+        cells += [RunResult(f"w{i}", "CORPUS", "single_step", 10_000.0 * (i + 1))
                   for i in range(10)]
-        cells.append(Cell("w0", "CORPUS", "hardware", None,
+        cells.append(RunResult("w0", "CORPUS", "hardware", None,
                           unsupported_reason="x"))
         return FigureResult("corpus", "sweep", cells)
 
@@ -137,7 +137,7 @@ class TestOverheadDistributions:
 
     def test_accepts_plain_cell_iterables(self):
         from repro.analysis import overhead_distributions
-        cells = [Cell("a", "K", "dise", 2.0), Cell("b", "K", "dise", 8.0)]
+        cells = [RunResult("a", "K", "dise", 2.0), RunResult("b", "K", "dise", 8.0)]
         dist = overhead_distributions(cells)["dise"]
         assert dist.median == pytest.approx(5.0)
         assert dist.geomean_overhead == pytest.approx(4.0)
@@ -181,8 +181,8 @@ class TestHistogram:
 class TestRenderDistribution:
     def test_report_combines_stats_and_histograms(self):
         from repro.harness.report import render_distribution
-        cells = [Cell(f"w{i}", "CORPUS", "dise", 1.0 + i) for i in range(6)]
-        cells += [Cell(f"w{i}", "CORPUS", "single_step", 5_000.0 + i)
+        cells = [RunResult(f"w{i}", "CORPUS", "dise", 1.0 + i) for i in range(6)]
+        cells += [RunResult(f"w{i}", "CORPUS", "single_step", 5_000.0 + i)
                   for i in range(6)]
         text = render_distribution(FigureResult("corpus", "demo", cells))
         assert "overhead distribution per backend" in text
@@ -191,5 +191,5 @@ class TestRenderDistribution:
 
     def test_empty_result(self):
         from repro.harness.report import render_distribution
-        result = FigureResult("corpus", "", [Cell("w", "K", "hw", None)])
+        result = FigureResult("corpus", "", [RunResult("w", "K", "hw", None)])
         assert "no supported cells" in render_distribution(result)

@@ -1,12 +1,9 @@
-"""The ``repro.api.timeline`` facade and the on-disk query cache."""
+"""The ``repro.api.timeline`` facade."""
 
 from __future__ import annotations
 
-import json
-
 import repro
 from repro.api import timeline
-from repro.harness.cache import TimelineQueryCache
 from repro.timetravel import TimelineQuery
 from tests.conftest import make_watch_loop
 
@@ -47,99 +44,11 @@ def test_program_content_digest_is_stable_and_sensitive():
     assert a.content_digest() != make_watch_loop(31).content_digest()
 
 
-# -- query cache -------------------------------------------------------------
-
-
-def _cached_query(tmp_path, iters=40):
-    cache = TimelineQueryCache(tmp_path / "cache")
-    query = timeline(make_watch_loop(iters), checkpoint_interval=100,
-                     cache=cache)
-    return cache, query
-
-
-def test_cache_round_trip(tmp_path):
-    cache, query = _cached_query(tmp_path)
+def test_fresh_engine_rederives_the_same_answer():
+    # Answers are never stored: a second engine over the same recorded
+    # history replays its own windows and reaches the same answer.
+    query = timeline(make_watch_loop(40), checkpoint_interval=100)
     first = query.last_write("hot")
-    assert not first.from_cache
-    assert cache.stores == 1
-    # A fresh engine over the same recorded history hits the cache.
-    again = TimelineQuery(query.controller, cache=cache)
-    second = again.last_write("hot")
-    assert second.from_cache
-    assert second.to_dict() | {"from_cache": False} == first.to_dict()
-    assert cache.hits == 1
-
-
-def test_cache_key_binds_the_history_extent(tmp_path):
-    cache, query = _cached_query(tmp_path)
-    first = query.last_write("hot")
-    assert cache.stores == 1
-    # Moving the session changes the recorded-history extent: the old
-    # answer must not be served for the new position.
-    query.seek_transition("other", 3)
-    fresh = TimelineQuery(query.controller, cache=cache)
-    result = fresh.last_write("hot")
-    assert not result.from_cache
-    # hot is still written every iteration, but the newest write is now
-    # an earlier (silent) one — serving the cached answer would point
-    # past the end of history.
-    assert result.found
-    assert result.app_instructions < first.app_instructions
-
-
-def test_cache_key_binds_the_program(tmp_path):
-    cache = TimelineQueryCache(tmp_path / "cache")
-    query_a = timeline(make_watch_loop(40), checkpoint_interval=100,
-                       cache=cache)
-    query_a.first_write("other")
-    stores = cache.stores
-    query_b = timeline(make_watch_loop(41), checkpoint_interval=100,
-                       cache=cache)
-    result = query_b.first_write("other")
-    assert not result.from_cache
-    assert cache.stores == stores + 1
-
-
-def test_corrupt_cache_record_is_a_miss_not_an_error(tmp_path):
-    cache, query = _cached_query(tmp_path)
-    query.last_write("hot")
-    [record] = list(cache.directory.glob("*.json"))
-    record.write_text("{not json")
-    fresh = TimelineQuery(query.controller, cache=cache)
-    assert not fresh.last_write("hot").from_cache
-    assert cache.misses >= 1
-
-
-def test_cached_seek_transition_verifies_the_fingerprint(tmp_path):
-    cache, query = _cached_query(tmp_path)
-    end = query.machine.stats.app_instructions
-    first = query.seek_transition("other", 2)
-    assert not first.from_cache
-    # Return to the recorded end: the cache key binds the position, so
-    # only the identical session state can replay the cached answer.
-    query.controller.seek(end)
-    fresh = TimelineQuery(query.controller, cache=cache)
-    second = fresh.seek_transition("other", 2)
-    assert second.from_cache
-    assert second.state_fingerprint == first.state_fingerprint
-    assert query.machine.stats.app_instructions == first.app_instructions
-
-
-def test_cache_record_is_json_with_key_payload(tmp_path):
-    cache, query = _cached_query(tmp_path)
-    query.last_write("hot")
-    [path] = list(cache.directory.glob("*.json"))
-    record = json.loads(path.read_text())
-    assert record["result"]["query"] == "last-write"
-    assert record["key"]["query"] == "last-write"
-    assert "program" in record["key"]
-    assert record["code_version"]
-
-
-def test_disabled_cache_never_touches_disk(tmp_path):
-    cache = TimelineQueryCache(tmp_path / "cache", enabled=False)
-    query = timeline(make_watch_loop(30), checkpoint_interval=100,
-                     cache=cache)
-    query.last_write("hot")
-    assert len(cache) == 0
-    assert cache.stores == 0
+    second = TimelineQuery(query.controller).last_write("hot")
+    assert not first.from_cache and not second.from_cache
+    assert second == first

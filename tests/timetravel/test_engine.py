@@ -9,6 +9,8 @@ store log must not.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.debugger.session import Session
@@ -44,7 +46,7 @@ def test_store_event_overlap_and_roundtrip():
     assert event.overlaps(0xF9, 8)
     assert not event.overlaps(0x108, 8)
     assert not event.overlaps(0xF8, 8)
-    assert StoreEvent.from_dict(event.to_dict()) == event
+    assert StoreEvent(**asdict(event)) == event  # plain data throughout
 
 
 def test_pending_store_reader_patches_the_write():
@@ -86,7 +88,7 @@ def test_last_write_scans_fewer_windows_than_history(query):
     # Newest-first scan stops at the first matching window: `other` is
     # stored every iteration, so exactly one window is scanned.
     assert query.last_write("other").windows_scanned == 1
-    total = len(query._windows())
+    total = len(query._windows(query.machine.stats.app_instructions))
     assert total >= 3  # the run is long enough to be worth bisecting
     assert query.first_write("hot").windows_scanned <= total
 
@@ -206,5 +208,5 @@ def test_result_roundtrips_through_dict(query):
     result = query.last_write("hot")
     from repro.timetravel import QueryResult
 
-    clone = QueryResult.from_dict(result.to_dict())
+    clone = QueryResult(**result.to_dict())
     assert clone == result

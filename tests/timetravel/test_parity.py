@@ -5,7 +5,8 @@ Two layers of parity:
 * **bisected vs linear** — for each of the five backends, the
   checkpoint-bisected ``last_write``/``transitions`` answers must equal
   the naive rerun-from-genesis ground truth, including the re-landed
-  ``state_fingerprint``;
+  ``state_fingerprint``, and ``seek_until`` must land on the first
+  ground-truth transition that satisfies its predicate;
 * **fuzz-oracle leg** — on pinned golden seeds, the bisected answers
   must agree with the forward run's own shadow store log
   (:func:`repro.fuzz.oracle.timeline_leg`), across backends and on both
@@ -14,13 +15,15 @@ Two layers of parity:
 
 from __future__ import annotations
 
+import operator
+
 import pytest
 
 from repro.debugger.session import Session
 from repro.fuzz.golden import GOLDEN_SEEDS
 from repro.fuzz.generator import generate_spec
 from repro.fuzz.oracle import BACKENDS, timeline_leg
-from repro.timetravel import TimelineQuery
+from repro.timetravel import TimelineError, TimelineQuery
 from tests.conftest import make_watch_loop
 
 
@@ -67,6 +70,66 @@ def test_seek_transition_relands_with_the_recorded_fingerprint():
         result = query.seek_transition("other", 7)
         assert query.backend.state_fingerprint() == \
             result.state_fingerprint
+
+
+#: seek-until predicates that first hold after the start of history:
+#: ``other`` counts 1..30, ``hot`` is 100 until it becomes 101 at the end.
+_LATER_PREDICATES = (("other", ">=", 7), ("other", "==", 12),
+                     ("other", "!=", 0), ("hot", ">", 100))
+_COMPARE = {">=": operator.ge, "==": operator.eq, "!=": operator.ne,
+            ">": operator.gt}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_seek_until_lands_on_the_first_satisfying_transition(backend):
+    query = _query(backend, iters=30)
+    end = query.machine.stats.app_instructions
+    for expression, cmp, value in _LATER_PREDICATES:
+        expected = next(t for t in query.transitions_linear(expression)
+                        if _COMPARE[cmp](t.new_value, value))
+        result = query.seek_until(expression, cmp, value)
+        assert result.found and result.target == \
+            f"{expression} {cmp} {value}"
+        assert (result.app_instructions, result.ordinal) == \
+            (expected.app_instructions, expected.app_instructions)
+        assert (result.value, result.old_value) == \
+            (expected.new_value, expected.old_value)
+        assert result.windows_scanned >= 1
+        # The session sits on the answer, as reported.
+        assert query.machine.stats.app_instructions == \
+            expected.app_instructions
+        assert result.pc == query.machine.pc
+        assert query.backend.state_fingerprint() == \
+            result.state_fingerprint
+        query.controller.seek(end)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_seek_until_already_true_at_genesis_lands_there(backend):
+    query = _query(backend, iters=30)
+    genesis = query.controller.store.oldest.app_instructions
+    for expression, cmp, value in (("other", "<", 5), ("hot", "==", 100)):
+        result = query.seek_until(expression, cmp, value)
+        assert (result.app_instructions, result.ordinal) == \
+            (genesis, genesis)
+        assert result.windows_scanned == 0
+        assert result.old_value is None
+        assert query.machine.stats.app_instructions == genesis
+        assert query.backend.state_fingerprint() == \
+            result.state_fingerprint
+    assert query.seek_until("other", "<", 5).value == 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_seek_until_that_cannot_land_leaves_the_session(backend):
+    query = _query(backend, iters=30)
+    end = query.machine.stats.app_instructions
+    fingerprint = query.backend.state_fingerprint()
+    for cmp, value in ((">", 30), ("=~", 1)):  # never holds; unknown
+        with pytest.raises(TimelineError):
+            query.seek_until("other", cmp, value)
+        assert query.machine.stats.app_instructions == end
+        assert query.backend.state_fingerprint() == fingerprint
 
 
 # -- fuzz-oracle leg ---------------------------------------------------------
