@@ -1,11 +1,13 @@
-"""Interpreter throughput: legacy chain vs dispatch table vs compiled.
+"""Interpreter throughput: legacy chain vs dispatch table vs compiled,
+and the timing model's cost on the table tier.
 
-Measures functional-mode (``detailed_timing=False``) interpreter speed
-in simulated instructions per wall-clock second on the Figure 3
-workloads and records the numbers to
-``benchmarks/results/interpreter_throughput.txt``.
+Measures interpreter speed in simulated instructions per wall-clock
+second on the Figure 3 workloads and records the numbers to
+``benchmarks/results/interpreter_throughput.txt``.  The first two
+exhibits run functional mode (``detailed_timing=False``); the third
+runs the table tier timed, as the figure grid and debug sessions do.
 
-Two exhibits share the file:
+Three exhibits share the file:
 
 * **legacy vs table** (plain and with a DISE watchpoint-style
   expansion active): short cold cells, ratio-checked against the
@@ -20,6 +22,11 @@ Two exhibits share the file:
   only measured plain: with productions installed, store-bearing
   blocks deliberately fall back to the table path (expansion semantics
   are not compiled), so there is no speedup to claim there.
+* **table, timed vs functional**: steady-state cells as above, but
+  shorter (``TIMED_WARM_INSTRUCTIONS``, then the best of
+  ``MEASURE_WINDOWS`` windows of ``TIMED_MEASURE_INSTRUCTIONS``) on
+  both sides; the ratio of timed to functional time per instruction is
+  what the timing model costs.
 
 Asserts:
 
@@ -28,7 +35,9 @@ Asserts:
   so the check is machine-independent and usable as a CI smoke test);
 * compiled/table plain geomean >= COMPILED_FLOOR_SPEEDUP (3.0x) — the
   CI regression floor under the 5x bench target recorded in the
-  results file.
+  results file;
+* timed/functional geomean time ratio <= REGRESSION_CEILING times the
+  committed TIMED_RATIO_BASELINE (a ratio, so machine-independent).
 
 Run directly with::
 
@@ -59,6 +68,10 @@ WARM_INSTRUCTIONS = 2_000_000
 MEASURE_INSTRUCTIONS = 2_000_000
 MEASURE_WINDOWS = 3
 
+# Steady-state cells of the timed exhibit (table tier, both modes).
+TIMED_WARM_INSTRUCTIONS = 200_000
+TIMED_MEASURE_INSTRUCTIONS = 300_000
+
 LEGACY = MachineConfig(interpreter="legacy")
 TABLE = MachineConfig()
 COMPILED = MachineConfig(interpreter="compiled")
@@ -75,6 +88,13 @@ REGRESSION_TOLERANCE = 0.8
 COMPILED_TARGET_SPEEDUP = 5.0
 COMPILED_FLOOR_SPEEDUP = 3.0
 
+# Committed geomean of (timed time per instruction) / (functional time
+# per instruction) on the table tier, measured when per-event timing
+# code was made cheap.  The smoke check fails when the timing model's
+# share grows the ratio more than 20% above it.
+TIMED_RATIO_BASELINE = 1.85
+REGRESSION_CEILING = 1.2
+
 
 def _watch_production() -> Production:
     """A watchpoint-flavoured expansion: store + conditional trap that
@@ -86,8 +106,9 @@ def _watch_production() -> Production:
         name="throughput-watch")
 
 
-def _machine(name: str, config: MachineConfig, with_dise: bool) -> Machine:
-    machine = Machine(build_benchmark(name), config, detailed_timing=False,
+def _machine(name: str, config: MachineConfig, with_dise: bool,
+             timed: bool = False) -> Machine:
+    machine = Machine(build_benchmark(name), config, detailed_timing=timed,
                       trap_handler=lambda event: TransitionKind.NONE)
     if with_dise:
         machine.dise_controller.install(_watch_production())
@@ -102,15 +123,17 @@ def _throughput(name: str, config: MachineConfig, with_dise: bool) -> float:
     return machine.stats.total_instructions / elapsed
 
 
-def _steady_state(name: str, config: MachineConfig) -> float:
+def _steady_state(name: str, config: MachineConfig, timed: bool = False,
+                  warm: int = WARM_INSTRUCTIONS,
+                  window: int = MEASURE_INSTRUCTIONS) -> float:
     """Warm, then return the best inst/s over MEASURE_WINDOWS windows."""
-    machine = _machine(name, config, with_dise=False)
-    machine.run(max_app_instructions=WARM_INSTRUCTIONS)
+    machine = _machine(name, config, with_dise=False, timed=timed)
+    machine.run(max_app_instructions=warm)
     best = 0.0
-    target = WARM_INSTRUCTIONS
+    target = warm
     for _ in range(MEASURE_WINDOWS):
         before = machine.stats.total_instructions
-        target += MEASURE_INSTRUCTIONS
+        target += window
         start = time.perf_counter()
         machine.run(max_app_instructions=target)
         elapsed = time.perf_counter() - start
@@ -168,6 +191,31 @@ def test_interpreter_throughput(results_dir):
         f"geomean speedup (compiled/table, plain): {geo_compiled:.2f}x",
         f"bench target: >={COMPILED_TARGET_SPEEDUP:.0f}x; "
         f"CI floor: >={COMPILED_FLOOR_SPEEDUP:.1f}x",
+        "",
+        "Table tier, timed vs functional, steady state (plain; warm "
+        f"{TIMED_WARM_INSTRUCTIONS:,}, best of {MEASURE_WINDOWS} x "
+        f"{TIMED_MEASURE_INSTRUCTIONS:,}-instruction windows)",
+        "",
+        f"{'benchmark':<10} {'timed':>12} {'functional':>12} "
+        f"{'time ratio':>10}",
+    ]
+    timed_ratios = []
+    for name in BENCHMARK_NAMES:
+        timed, functional = (
+            _steady_state(name, TABLE, timed=mode,
+                          warm=TIMED_WARM_INSTRUCTIONS,
+                          window=TIMED_MEASURE_INSTRUCTIONS)
+            for mode in (True, False))
+        ratio = functional / timed
+        timed_ratios.append(ratio)
+        lines.append(f"{name:<10} {timed:>12,.0f} {functional:>12,.0f} "
+                     f"{ratio:>9.2f}x")
+    geo_timed = _geomean(timed_ratios)
+    lines += [
+        "",
+        f"geomean time ratio (timed/functional): {geo_timed:.2f}x",
+        f"committed baseline: {TIMED_RATIO_BASELINE:.2f}x; CI ceiling: "
+        f"<={REGRESSION_CEILING * TIMED_RATIO_BASELINE:.2f}x",
     ]
     record(results_dir, "interpreter_throughput", "\n".join(lines))
 
@@ -182,3 +230,7 @@ def test_interpreter_throughput(results_dir):
     # floor leaves headroom for slow shared runners).
     assert geo_compiled >= COMPILED_FLOOR_SPEEDUP, \
         f"compiled speedup {geo_compiled:.2f}x < {COMPILED_FLOOR_SPEEDUP}x"
+    # Timing-model ceiling: timed runs may not cost more than 20% over
+    # the committed timed/functional ratio.
+    assert geo_timed <= REGRESSION_CEILING * TIMED_RATIO_BASELINE, \
+        f"timed/functional {geo_timed:.2f}x regressed >20% vs baseline"

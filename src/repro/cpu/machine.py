@@ -53,8 +53,8 @@ from repro.config import DEFAULT_CONFIG, INTERPRETERS, MachineConfig
 from repro.errors import SimulationError
 from repro.cpu import process
 from repro.cpu.functional import MASK64, alu_result, branch_taken
-from repro.cpu.stats import SimStats, TransitionKind
-from repro.cpu.timing import TimingModel
+from repro.cpu.stats import NONE, USER, SimStats, TransitionKind
+from repro.cpu.timing import _LINE_SHIFT, TimingModel
 from repro.dise.controller import DiseController
 from repro.dise.engine import DiseEngine
 from repro.dise.registers import DiseRegisterFile
@@ -82,6 +82,19 @@ class TrapKind(Enum):
     SINGLE_STEP = "single_step"  # statement-granularity stepping
 
 
+# The members as module globals, for code that runs on every trap or
+# DISE instruction (see DESIGN.md §5).
+TRAP = TrapKind.TRAP
+HW_WATCHPOINT = TrapKind.HW_WATCHPOINT
+BREAKPOINT = TrapKind.BREAKPOINT
+PAGE_FAULT = TrapKind.PAGE_FAULT
+SINGLE_STEP = TrapKind.SINGLE_STEP
+_D_BR = Opcode.D_BR
+_D_BEQ = Opcode.D_BEQ
+_D_CCALL = Opcode.D_CCALL
+_D_MFR = Opcode.D_MFR
+
+
 # Architectural trap causes (latched in ``Machine.trap_cause``).  These
 # are *kernel* traps — serviced by a guest handler at the trap vector or
 # by the host scheduler (repro.kernel) — not debugger transitions.
@@ -101,7 +114,7 @@ class _TrapPending(Exception):
     hot loops pay nothing for it."""
 
 
-@dataclass
+@dataclass(slots=True)
 class TrapEvent:
     """Context delivered to the trap handler."""
 
@@ -142,13 +155,6 @@ class WeakBoundMethod:
             raise ReferenceError(
                 f"{self.__func__.__qualname__}: its object was freed")
         return self.__func__(owner, *args)
-
-
-_SPURIOUS = frozenset({
-    TransitionKind.SPURIOUS_ADDRESS,
-    TransitionKind.SPURIOUS_VALUE,
-    TransitionKind.SPURIOUS_PREDICATE,
-})
 
 
 @dataclass
@@ -447,14 +453,16 @@ class Machine:
         """Route a trap to the debugger; classify, account, and charge it."""
         self.stats.traps += 1
         if self.trap_handler is None:
-            kind = TransitionKind.NONE
+            kind = NONE
         else:
             kind = self.trap_handler(event)
         self.stats.record_transition(kind)
-        if self.timing is not None and kind is not TransitionKind.NONE:
-            self.timing.debugger_transition(kind in _SPURIOUS)
-        if kind is TransitionKind.USER and self.stop_on_user:
-            self.stopped_at_user = True
+        if kind is not NONE:
+            # Every kind but USER and NONE is spurious.
+            if self.timing is not None:
+                self.timing.debugger_transition(kind is not USER)
+            if kind is USER and self.stop_on_user:
+                self.stopped_at_user = True
         return kind
 
     def _deliver_explicit_trap(self, is_dise: bool) -> None:
@@ -465,12 +473,10 @@ class Machine:
         address/value.
         """
         if self._expansion_did_store and (is_dise or self._in_dise_function):
-            event = TrapEvent(TrapKind.TRAP, self.pc,
-                              self.last_store_addr,
-                              self.last_store_size,
-                              self.last_store_value)
+            event = TrapEvent(TRAP, self.pc, self.last_store_addr,
+                              self.last_store_size, self.last_store_value)
         else:
-            event = TrapEvent(TrapKind.TRAP, self.pc)
+            event = TrapEvent(TRAP, self.pc)
         self.deliver_trap(event)
 
     def _fetch_stage_traps(self, pc: int) -> bool:
@@ -487,9 +493,9 @@ class Machine:
             if pc == resume_pc:
                 return True
         if self.breakpoint_registers and pc in self.breakpoint_registers:
-            self.deliver_trap(TrapEvent(TrapKind.BREAKPOINT, pc))
+            self.deliver_trap(TrapEvent(BREAKPOINT, pc))
         if self.single_step and pc in self.statement_pcs:
-            self.deliver_trap(TrapEvent(TrapKind.SINGLE_STEP, pc))
+            self.deliver_trap(TrapEvent(SINGLE_STEP, pc))
         if self.stopped_at_user:
             self._fetch_trap_resume_pc = pc
             return False
@@ -644,6 +650,7 @@ class Machine:
         instrumentation_pcs = self.instrumentation_pcs
         nop_class = OpClass.NOP
         codeword_op = Opcode.CODEWORD
+        width = timing._width if timing is not None else 0
 
         while not self.halted:
             if limit >= 0 and stats.app_instructions >= limit:
@@ -670,7 +677,10 @@ class Machine:
                 if self.breakpoint_registers or self.single_step:
                     if not self._fetch_stage_traps(pc):
                         break
-                if timing is not None:
+                # TimingModel.fetch's same-line test, written in place:
+                # most fetches stay on the line of the previous one.
+                if (timing is not None
+                        and pc >> _LINE_SHIFT != timing._last_fetch_line):
                     timing.fetch(pc)
                 is_dise = False
                 if eng_productions and not self._in_dise_function:
@@ -706,8 +716,17 @@ class Machine:
                 stats.dise_instructions += 1
             else:
                 stats.app_instructions += 1
-            if timing is not None:
-                timing.commit()
+            if timing is not None and not timing.offthread:
+                # TimingModel.commit, written in place (it runs once per
+                # retired instruction).
+                slots = timing._slots + 1
+                if slots >= width:
+                    timing.cycles += 1.0
+                    timing._slots = 0
+                    timing._loads_this_cycle = 0
+                    timing._stores_this_cycle = 0
+                else:
+                    timing._slots = slots
             handlers[d.handler_index](self, inst, d, is_dise)
 
     # -- dispatch-table handlers ------------------------------------------------
@@ -721,6 +740,9 @@ class Machine:
     # timed and functional runs agree on everything else).
     # `d.fast_regs` marks instructions whose operands can be accessed
     # directly in the GPR file (no zero/DISE-register checks).
+    # `is_dise` is False exactly when no expansion is active, so the ALU,
+    # load and branch handlers then advance the pc in place instead of
+    # calling `_advance`.
 
     def _h_alu_lda(self, inst: Instruction, d, is_dise: bool) -> None:
         if d.fast_regs:
@@ -729,7 +751,10 @@ class Machine:
         else:
             base = self._read_reg(inst.rs1, is_dise)
             self._write_reg(inst.rd, (base + inst.imm) & MASK64, is_dise)
-        self._advance()
+        if is_dise:
+            self._advance()
+        else:
+            self.pc += INSTRUCTION_BYTES
 
     def _h_alu_mov(self, inst: Instruction, d, is_dise: bool) -> None:
         if d.fast_regs:
@@ -738,7 +763,10 @@ class Machine:
         else:
             self._write_reg(inst.rd, self._read_reg(inst.rs1, is_dise),
                             is_dise)
-        self._advance()
+        if is_dise:
+            self._advance()
+        else:
+            self.pc += INSTRUCTION_BYTES
 
     def _h_alu_imm(self, inst: Instruction, d, is_dise: bool) -> None:
         if d.fast_regs:
@@ -748,7 +776,10 @@ class Machine:
             a = self._read_reg(inst.rs1, is_dise)
             self._write_reg(inst.rd, d.alu_func(a, inst.imm & MASK64),
                             is_dise)
-        self._advance()
+        if is_dise:
+            self._advance()
+        else:
+            self.pc += INSTRUCTION_BYTES
 
     def _h_alu_reg(self, inst: Instruction, d, is_dise: bool) -> None:
         if d.fast_regs:
@@ -758,7 +789,10 @@ class Machine:
             a = self._read_reg(inst.rs1, is_dise)
             b = self._read_reg(inst.rs2, is_dise)
             self._write_reg(inst.rd, d.alu_func(a, b), is_dise)
-        self._advance()
+        if is_dise:
+            self._advance()
+        else:
+            self.pc += INSTRUCTION_BYTES
 
     def _h_load(self, inst: Instruction, d, is_dise: bool) -> None:
         if d.fast_regs:
@@ -770,9 +804,13 @@ class Machine:
             self._write_reg(inst.rd, self.memory.read_int(ea, d.mem_size),
                             is_dise)
         self.stats.loads += 1
-        if self.timing is not None:
-            self.timing.load(ea)
-        self._advance()
+        timing = self.timing
+        if timing is not None:
+            timing.load(ea)
+        if is_dise:
+            self._advance()
+        else:
+            self.pc += INSTRUCTION_BYTES
 
     def _h_store(self, inst: Instruction, d, is_dise: bool) -> None:
         if d.fast_regs:
@@ -789,11 +827,9 @@ class Machine:
         if is_dise:
             self._expansion_did_store = True
         self.stats.stores += 1
-        if self.timing is not None:
-            self.timing.store(ea)
-        self._finish_store(ea, size, value)
-
-    def _finish_store(self, ea: int, size: int, value: int) -> None:
+        timing = self.timing
+        if timing is not None:
+            timing.store(ea)
         memory = self.memory
         observer = self.store_observer
         if observer is not None:
@@ -805,16 +841,18 @@ class Machine:
             self._note_text_store(ea, size)
         if faulted:
             self.stats.page_fault_traps += 1
-            self.deliver_trap(TrapEvent(TrapKind.PAGE_FAULT, self.pc,
-                                        ea, size, value))
+            self.deliver_trap(TrapEvent(PAGE_FAULT, self.pc, ea, size, value))
         if self.hw_watch_ranges:
             end = ea + size
             for lo, hi in self.hw_watch_ranges:
                 if ea < hi and end > lo:
                     self.deliver_trap(TrapEvent(
-                        TrapKind.HW_WATCHPOINT, self.pc, ea, size, value))
+                        HW_WATCHPOINT, self.pc, ea, size, value))
                     break
-        self._advance()
+        if self._expansion is None:
+            self.pc += INSTRUCTION_BYTES  # _advance, outside a sequence
+        else:
+            self._advance()
 
     def _h_branch(self, inst: Instruction, d, is_dise: bool) -> None:
         value = (self.regs[inst.rs1] if d.fast_regs
@@ -822,16 +860,20 @@ class Machine:
         taken = d.branch_func(value)
         stats = self.stats
         stats.branches += 1
-        if self.timing is not None:
+        timing = self.timing
+        if timing is not None:
             # Decorrelate predictor indices of expansion-internal
             # branches from the trigger's own PC.
             branch_pc = self.pc + (self._exp_index << 20 if is_dise else 0)
-            self.timing.conditional_branch(branch_pc, taken)
+            timing.conditional_branch(branch_pc, taken)
         if taken:
             stats.taken_branches += 1
-            self._jump(inst.target)
-        else:
+            self._expansion = None  # _jump
+            self.pc = inst.target
+        elif is_dise:
             self._advance()
+        else:
+            self.pc += INSTRUCTION_BYTES
 
     def _h_jump_br(self, inst: Instruction, d, is_dise: bool) -> None:
         if self.timing is not None:
@@ -882,11 +924,11 @@ class Machine:
             raise SimulationError("DISE branch outside a replacement "
                                   f"sequence at pc={self.pc:#x}")
         opcode = inst.opcode
-        if opcode is Opcode.D_BR:
+        if opcode is _D_BR:
             taken = True
         else:
             value = self._read_reg(inst.rs1, True)
-            taken = (value == 0) if opcode is Opcode.D_BEQ else (value != 0)
+            taken = (value == 0) if opcode is _D_BEQ else (value != 0)
         if not taken:
             self._advance()
             return
@@ -899,7 +941,7 @@ class Machine:
             self.pc = self._trigger_pc + INSTRUCTION_BYTES
 
     def _h_dise_call(self, inst: Instruction, d, is_dise: bool) -> None:
-        if (inst.opcode is Opcode.D_CCALL
+        if (inst.opcode is _D_CCALL
                 and self._read_reg(inst.rs1, True) == 0):
             self._advance()
             return
@@ -941,7 +983,7 @@ class Machine:
             raise SimulationError(
                 f"{inst.info.mnemonic} outside a DISE-called function "
                 f"at pc={self.pc:#x}")
-        if inst.opcode is Opcode.D_MFR:
+        if inst.opcode is _D_MFR:
             self._write_reg(inst.rd, self.dise_regs.read(inst.imm), False)
         else:  # D_MTR
             self.dise_regs.write(inst.imm, self._read_reg(inst.rs1, False))

@@ -44,26 +44,48 @@ class BranchPredictor:
 
     def predict_and_update(self, pc: int, taken: bool) -> bool:
         """Predict direction for the branch at ``pc``; train; return
-        True when the prediction was correct."""
-        self.lookups += 1
-        index = (pc >> 2) & self._mask
-        gindex = ((pc >> 2) ^ self._history) & self._mask
-        use_gshare = self._chooser[index] >= _TAKEN_THRESHOLD
-        g_pred = self._gshare[gindex] >= _TAKEN_THRESHOLD
-        b_pred = self._bimodal[index] >= _TAKEN_THRESHOLD
-        prediction = g_pred if use_gshare else b_pred
-        correct = prediction == taken
+        True when the prediction was correct.
 
-        # Train components.
-        self._gshare[gindex] = _train(self._gshare[gindex], taken)
-        self._bimodal[index] = _train(self._bimodal[index], taken)
+        Runs once per simulated conditional branch, so the three 2-bit
+        saturating counters train on locals, with no helper call.
+        """
+        self.lookups += 1
+        mask = self._mask
+        history = self._history
+        index = (pc >> 2) & mask
+        gindex = ((pc >> 2) ^ history) & mask
+        gshare = self._gshare
+        bimodal = self._bimodal
+        g = gshare[gindex]
+        b = bimodal[index]
+        g_pred = g >= _TAKEN_THRESHOLD
+        b_pred = b >= _TAKEN_THRESHOLD
+        prediction = (g_pred if self._chooser[index] >= _TAKEN_THRESHOLD
+                      else b_pred)
+        if taken:
+            if g < _COUNTER_MAX:
+                gshare[gindex] = g + 1
+            if b < _COUNTER_MAX:
+                bimodal[index] = b + 1
+        else:
+            if g:
+                gshare[gindex] = g - 1
+            if b:
+                bimodal[index] = b - 1
         if g_pred != b_pred:
-            self._chooser[index] = _train(self._chooser[index],
-                                          g_pred == taken)
-        self._history = ((self._history << 1) | taken) & self._mask
-        if not correct:
-            self.mispredictions += 1
-        return correct
+            # The chooser moves toward whichever component was right.
+            chooser = self._chooser
+            c = chooser[index]
+            if g_pred == taken:
+                if c < _COUNTER_MAX:
+                    chooser[index] = c + 1
+            elif c:
+                chooser[index] = c - 1
+        self._history = ((history << 1) | taken) & mask
+        if prediction == taken:
+            return True
+        self.mispredictions += 1
+        return False
 
     # -- indirect jumps / calls / returns -----------------------------------
 
@@ -128,8 +150,3 @@ class BranchPredictor:
     def misprediction_rate(self) -> float:
         return self.mispredictions / self.lookups if self.lookups else 0.0
 
-
-def _train(counter: int, taken: bool) -> int:
-    if taken:
-        return counter + 1 if counter < _COUNTER_MAX else counter
-    return counter - 1 if counter > 0 else counter

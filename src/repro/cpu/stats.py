@@ -29,6 +29,20 @@ class TransitionKind(Enum):
     SPURIOUS_PREDICATE = "spurious_predicate"
     NONE = "none"  # trap handled without a debugger transition
 
+    # Members are singletons compared by identity, so they hash by
+    # identity too: every trap counts itself in ``SimStats.transitions``,
+    # and ``Enum.__hash__`` is a Python-level function in 3.11.
+    __hash__ = object.__hash__
+
+
+# The members as module globals, for code that runs on every trap
+# (DESIGN.md §5: a global costs ~5 ns, ``TransitionKind.USER`` ~75 ns).
+USER = TransitionKind.USER
+SPURIOUS_ADDRESS = TransitionKind.SPURIOUS_ADDRESS
+SPURIOUS_VALUE = TransitionKind.SPURIOUS_VALUE
+SPURIOUS_PREDICATE = TransitionKind.SPURIOUS_PREDICATE
+NONE = TransitionKind.NONE
+
 
 @dataclass
 class SimStats:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from repro.config import MachineConfig
 from repro.cpu.predictor import BranchPredictor
-from repro.memory.cache import AccessLevel, CacheHierarchy
+from repro.memory.cache import CacheHierarchy
 from repro.memory.tlb import Tlb
 
 _LINE_SHIFT = 6  # 64-byte lines
@@ -53,18 +53,14 @@ class TimingModel:
         self._load_ports = pipe.load_ports
         self._store_ports = pipe.store_ports
         self._flush_penalty = pipe.flush_penalty
-        # Pre-computed stall charges (cycles) per access level.
-        self._load_stall = {
-            AccessLevel.L1: 0.0,
-            AccessLevel.L2: (mem.l2_hit - mem.l1_hit) * (1.0 - pipe.l2_hit_overlap),
-            AccessLevel.MEMORY: mem.memory * (1.0 - pipe.memory_overlap),
-        }
+        # Pre-computed stall charges (cycles), indexed by AccessLevel.
+        self._load_stall = (
+            0.0,
+            (mem.l2_hit - mem.l1_hit) * (1.0 - pipe.l2_hit_overlap),
+            mem.memory * (1.0 - pipe.memory_overlap),
+        )
         # Front-end miss charges: fetch stalls are mostly exposed.
-        self._fetch_stall = {
-            AccessLevel.L1: 0.0,
-            AccessLevel.L2: (mem.l2_hit - 1) * 0.8,
-            AccessLevel.MEMORY: mem.memory * 0.8,
-        }
+        self._fetch_stall = (0.0, (mem.l2_hit - 1) * 0.8, mem.memory * 0.8)
         self._itlb_penalty = config.itlb.miss_penalty
         self._dtlb_penalty = config.dtlb.miss_penalty
         self._spurious_cost = config.debug_costs.spurious_transition_cycles
@@ -85,12 +81,11 @@ class TimingModel:
         self._last_data_page = -1
 
     # -- cycle bookkeeping -------------------------------------------------
-
-    def _next_cycle(self) -> None:
-        self.cycles += 1.0
-        self._slots = 0
-        self._loads_this_cycle = 0
-        self._stores_this_cycle = 0
+    #
+    # A stall or a new cycle empties the commit slots and both port
+    # counters.  commit, load, store and flush write that advance in
+    # place: they run once per simulated instruction, access or flush,
+    # where a helper call costs as much as the work (DESIGN.md §5).
 
     def _stall(self, cycles: float) -> None:
         if cycles:
@@ -103,11 +98,7 @@ class TimingModel:
 
     def commit(self) -> None:
         """One instruction retires, consuming a commit slot (none while
-        a multithreaded DISE call runs off-thread).
-
-        Runs once per retired instruction, so the cycle advance of
-        :meth:`_next_cycle` is written inline.
-        """
+        a multithreaded DISE call runs off-thread)."""
         if self.offthread:
             return
         self._slots += 1
@@ -132,8 +123,7 @@ class TimingModel:
             self._last_fetch_page = page
             if not self.itlb.access(pc):
                 self._stall(self._itlb_penalty)
-        level = self.caches.access_inst(pc)
-        stall = self._fetch_stall[level]
+        stall = self._fetch_stall[self.caches.access_inst(pc)]
         if stall:
             self._stall(stall)
 
@@ -145,23 +135,32 @@ class TimingModel:
     def load(self, addr: int) -> None:
         """A load executes: port, DTLB, and D$ hierarchy charges."""
         if self._loads_this_cycle >= self._load_ports:
-            self._next_cycle()
-        self._loads_this_cycle += 1
+            # Ports full: this load issues in the next cycle.
+            self.cycles += 1.0
+            self._slots = 0
+            self._loads_this_cycle = 1
+            self._stores_this_cycle = 0
+        else:
+            self._loads_this_cycle += 1
         page = addr >> 12
         if page != self._last_data_page:
             self._last_data_page = page
             if not self.dtlb.access(addr):
                 self._stall(self._dtlb_penalty)
-        level = self.caches.access_data(addr)
-        stall = self._load_stall[level]
+        stall = self._load_stall[self.caches.access_data(addr)]
         if stall:
             self._stall(stall)
 
     def store(self, addr: int) -> None:
         """A store executes: port and cache-state charges (no stall)."""
         if self._stores_this_cycle >= self._store_ports:
-            self._next_cycle()
-        self._stores_this_cycle += 1
+            # Ports full: this store issues in the next cycle.
+            self.cycles += 1.0
+            self._slots = 0
+            self._loads_this_cycle = 0
+            self._stores_this_cycle = 1
+        else:
+            self._stores_this_cycle += 1
         page = addr >> 12
         if page != self._last_data_page:
             self._last_data_page = page
@@ -173,11 +172,10 @@ class TimingModel:
 
     def conditional_branch(self, pc: int, taken: bool) -> None:
         """Predict/train a conditional branch; flush on misprediction."""
-        correct = self.predictor.predict_and_update(pc, taken)
-        if not correct:
+        if not self.predictor.predict_and_update(pc, taken):
             self.flush()
         elif taken:
-            self.redirect_fetch()
+            self._last_fetch_line = -1  # redirect_fetch
 
     def call(self, pc: int, return_pc: int) -> None:
         """Direct call: target known at decode; push RAS."""
@@ -225,8 +223,13 @@ class TimingModel:
     def flush(self) -> None:
         """Flush the pipeline: charge the refill penalty."""
         self.flushes += 1
-        self._stall(self._flush_penalty)
-        self.redirect_fetch()
+        penalty = self._flush_penalty
+        if penalty:  # _stall, in place
+            self.cycles += penalty
+            self._slots = 0
+            self._loads_this_cycle = 0
+            self._stores_this_cycle = 0
+        self._last_fetch_line = -1  # redirect_fetch
 
     def context_switch(self) -> None:
         """Charge a process switch: pipeline flush plus TLB shootdown.

@@ -15,7 +15,8 @@ from typing import Any, Container, NamedTuple, Optional, Sequence
 
 from repro.config import MachineConfig, DEFAULT_CONFIG
 from repro.cpu.machine import Machine, TrapEvent, WeakBoundMethod
-from repro.cpu.stats import TransitionKind
+from repro.cpu.stats import (SPURIOUS_ADDRESS, SPURIOUS_PREDICATE,
+                             SPURIOUS_VALUE, USER, TransitionKind)
 from repro.debugger.expressions import ProgramResolver
 from repro.debugger.transitions import WatchpointMonitor
 from repro.debugger.watchpoint import Breakpoint, Watchpoint
@@ -164,12 +165,12 @@ class DebuggerBackend:
         """Classify a breakpoint hit at ``pc`` (evaluating its condition)."""
         bp = self._breakpoint_pcs.get(pc)
         if bp is None or not bp.enabled:
-            return TransitionKind.SPURIOUS_ADDRESS
+            return SPURIOUS_ADDRESS
         if bp.condition is None:
-            return TransitionKind.USER
+            return USER
         if bp.condition.evaluate(self.resolver, self.machine.memory):
-            return TransitionKind.USER
-        return TransitionKind.SPURIOUS_PREDICATE
+            return USER
+        return SPURIOUS_PREDICATE
 
     def classify_store_hit(self, hits: Sequence[Watchpoint]) -> TransitionKind:
         """Classify a store that overlapped watched data.
@@ -178,15 +179,15 @@ class DebuggerBackend:
         true (or absent) predicate is a user transition.
         """
         if not hits:
-            return TransitionKind.SPURIOUS_ADDRESS
-        best = TransitionKind.SPURIOUS_VALUE
+            return SPURIOUS_ADDRESS
+        best = SPURIOUS_VALUE
         for wp in hits:
             changed, predicate = self.monitor.check(wp)
             if not changed:
                 continue
             if predicate is None or predicate:
-                return TransitionKind.USER
-            best = TransitionKind.SPURIOUS_PREDICATE
+                return USER
+            best = SPURIOUS_PREDICATE
         return best
 
     # -- snapshots ------------------------------------------------------------------

@@ -24,8 +24,8 @@ the application, so every trap is a user transition.
 
 from __future__ import annotations
 
-from repro.cpu.machine import TrapEvent, TrapKind
-from repro.cpu.stats import TransitionKind
+from repro.cpu.machine import BREAKPOINT, TRAP, TrapEvent
+from repro.cpu.stats import NONE, USER, TransitionKind
 from repro.debugger.backends.base import DebuggerBackend, Option
 from repro.debugger.backends.codegen import DebugCodeGenerator, LINK
 from repro.debugger.expressions import ProgramResolver
@@ -227,11 +227,11 @@ class BinaryRewriteBackend(DebuggerBackend):
 
     def handle_trap(self, event: TrapEvent) -> TransitionKind:
         """Classify traps: handler traps are user transitions."""
-        if event.kind is TrapKind.BREAKPOINT:
+        if event.kind is BREAKPOINT:
             return self.classify_breakpoint(event.pc)
-        if event.kind is not TrapKind.TRAP:
-            return TransitionKind.NONE
+        if event.kind is not TRAP:
+            return NONE
         # The inlined handler traps only on a real, predicate-approved
         # value change.
         self.monitor.capture_all()
-        return TransitionKind.USER
+        return USER

@@ -40,8 +40,8 @@ Options (keyword arguments accepted by the constructor / the session):
 
 from __future__ import annotations
 
-from repro.cpu.machine import TrapEvent, TrapKind
-from repro.cpu.stats import TransitionKind
+from repro.cpu.machine import TRAP, TrapEvent
+from repro.cpu.stats import NONE, USER, TransitionKind
 from repro.debugger.backends.base import DebuggerBackend, Option
 from repro.debugger.backends.codegen import (DAR_BASE, DPV_BASE,
                                              DebugCodeGenerator)
@@ -266,13 +266,13 @@ class DiseBackend(DebuggerBackend):
 
     def handle_trap(self, event: TrapEvent) -> TransitionKind:
         """Classify traps: in-app checks mean every trap invokes the user."""
-        if event.kind is not TrapKind.TRAP:
-            return TransitionKind.NONE
+        if event.kind is not TRAP:
+            return NONE
         if event.pc in self._error_pcs:
             # The protection production caught a wild store into the
             # debugger's region: a real (user-visible) error stop.
             self._error_traps += 1
-            return TransitionKind.USER
+            return USER
         self._handler_traps += 1
         # In-application code already established that a watched value
         # changed and the predicate holds; this transition invokes the
@@ -283,7 +283,7 @@ class DiseBackend(DebuggerBackend):
             if entry is not None:
                 self.machine.dise_regs.write(entry.dpv_index, event.value)
         self.monitor.capture_all()
-        return TransitionKind.USER
+        return USER
 
 
 def _literal_slot(inst: Instruction) -> TemplateInstruction:

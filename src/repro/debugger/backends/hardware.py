@@ -22,8 +22,9 @@ are principally used to watch scalars."
 
 from __future__ import annotations
 
-from repro.cpu.machine import TrapEvent, TrapKind
-from repro.cpu.stats import TransitionKind
+from repro.cpu.machine import (BREAKPOINT, HW_WATCHPOINT, PAGE_FAULT,
+                               TrapEvent)
+from repro.cpu.stats import NONE, TransitionKind
 from repro.debugger.backends.base import COUNTS, DebuggerBackend, Option
 from repro.debugger.watchpoint import Watchpoint
 from repro.errors import UnsupportedWatchpointError
@@ -81,11 +82,11 @@ class HardwareRegisterBackend(DebuggerBackend):
 
     def handle_trap(self, event: TrapEvent) -> TransitionKind:
         """Classify register matches and VM-fallback faults."""
-        if event.kind is TrapKind.BREAKPOINT:
+        if event.kind is BREAKPOINT:
             return self.classify_breakpoint(event.pc)
-        if event.kind is TrapKind.HW_WATCHPOINT:
+        if event.kind is HW_WATCHPOINT:
             # The quad matched; was the precisely watched datum written?
             return self._classify_store(event, self._register_ranges)
-        if event.kind is TrapKind.PAGE_FAULT:
+        if event.kind is PAGE_FAULT:
             return self._classify_store(event, self._vm_ranges)
-        return TransitionKind.NONE
+        return NONE

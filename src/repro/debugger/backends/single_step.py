@@ -11,8 +11,8 @@ slowdown baseline.
 
 from __future__ import annotations
 
-from repro.cpu.machine import TrapEvent, TrapKind
-from repro.cpu.stats import TransitionKind
+from repro.cpu.machine import SINGLE_STEP, TrapEvent
+from repro.cpu.stats import NONE, SPURIOUS_ADDRESS, USER, TransitionKind
 from repro.debugger.backends.base import DebuggerBackend
 
 
@@ -28,14 +28,14 @@ class SingleStepBackend(DebuggerBackend):
 
     def handle_trap(self, event: TrapEvent) -> TransitionKind:
         """Re-check every breakpoint and watchpoint at each statement."""
-        if event.kind is not TrapKind.SINGLE_STEP:
-            return TransitionKind.NONE
+        if event.kind is not SINGLE_STEP:
+            return NONE
         # Breakpoints are checked first: the statement address itself.
         if event.pc in self._breakpoint_pcs:
             outcome = self.classify_breakpoint(event.pc)
-            if outcome is TransitionKind.USER:
+            if outcome is USER:
                 return outcome
         # Then every watched expression is re-evaluated in the debugger.
         if not self.watchpoints:
-            return TransitionKind.SPURIOUS_ADDRESS
+            return SPURIOUS_ADDRESS
         return self.monitor.check_all()

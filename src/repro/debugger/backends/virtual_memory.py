@@ -21,8 +21,8 @@ commercial debugger implements dynamic reprotection.
 
 from __future__ import annotations
 
-from repro.cpu.machine import TrapEvent, TrapKind
-from repro.cpu.stats import TransitionKind
+from repro.cpu.machine import BREAKPOINT, PAGE_FAULT, TrapEvent
+from repro.cpu.stats import NONE, TransitionKind
 from repro.debugger.backends.base import DebuggerBackend
 from repro.debugger.watchpoint import Watchpoint
 from repro.errors import UnsupportedWatchpointError
@@ -52,10 +52,10 @@ class VirtualMemoryBackend(DebuggerBackend):
 
     def handle_trap(self, event: TrapEvent) -> TransitionKind:
         """Classify each page fault against the watched byte ranges."""
-        if event.kind is TrapKind.BREAKPOINT:
+        if event.kind is BREAKPOINT:
             return self.classify_breakpoint(event.pc)
-        if event.kind is not TrapKind.PAGE_FAULT:
-            return TransitionKind.NONE
+        if event.kind is not PAGE_FAULT:
+            return NONE
         # The debugger services the fault (emulating the store) and asks:
         # did the store actually touch watched bytes?
         store_lo = event.address

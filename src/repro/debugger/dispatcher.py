@@ -37,6 +37,8 @@ DEFAULT_STEP = 1_000_000
 #: Most quads one ``x`` dumps: a 4 KiB page, whose reply fits one wire
 #: frame at any 64-bit address.
 MAX_DUMP_QUADS = 512
+#: Bytes the 64-bit machine can address; ``x`` dumps only inside them.
+ADDRESS_SPACE = 1 << 64
 
 #: Stable machine-readable failure codes (the server's wire contract).
 BAD_REQUEST = "bad-request"
@@ -490,15 +492,19 @@ class CommandDispatcher:
 
     def cmd_x(self, args: list[str]) -> CommandResult:
         """x ADDR|SYMBOL [QUADS] — dump memory."""
+        usage = (f"usage: x ADDR|SYMBOL [QUADS] (QUADS: 0 to "
+                 f"{MAX_DUMP_QUADS}, inside the 64-bit address space)")
         count = parse_count(args[1]) if len(args) > 1 else 4
         if not args or count is None or count > MAX_DUMP_QUADS:
-            raise CommandError(f"usage: x ADDR|SYMBOL [QUADS] (QUADS: 0 to "
-                               f"{MAX_DUMP_QUADS})")
+            raise CommandError(usage)
         backend = self._ensure_backend()
         try:
             address = int(args[0], 0)
         except ValueError:
             address = backend.program.address_of(args[0])
+        if not 0 <= address < ADDRESS_SPACE \
+                or address + 8 * count > ADDRESS_SPACE:
+            raise CommandError(usage)
         memory = backend.machine.memory
         words = []
         lines = []

@@ -57,18 +57,29 @@ class SymbolResolver(Protocol):
 
 
 class ProgramResolver:
-    """Resolve names against a :class:`repro.isa.program.Program`."""
+    """Resolve names against a :class:`repro.isa.program.Program`.
+
+    A symbol never moves once laid out: transforms only append symbols,
+    and re-laying out keeps every existing one.  So each name resolves
+    once; single-stepping re-evaluates every watched expression at
+    every statement.
+    """
 
     def __init__(self, program):
         self._program = program
+        self._resolved: dict[str, tuple[int, int]] = {}
 
     def resolve(self, name: str) -> tuple[int, int]:
         """Return (address, size) of ``name`` from the program's symbols."""
-        try:
-            symbol = self._program.symbol(name)
-        except Exception as exc:
-            raise ExpressionError(f"unknown variable {name!r}") from exc
-        return symbol.address, symbol.size or QUAD
+        resolved = self._resolved.get(name)
+        if resolved is None:
+            try:
+                symbol = self._program.symbol(name)
+            except Exception as exc:
+                raise ExpressionError(f"unknown variable {name!r}") from exc
+            resolved = self._resolved[name] = (symbol.address,
+                                               symbol.size or QUAD)
+        return resolved
 
 
 class Expression:

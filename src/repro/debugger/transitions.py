@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.cpu.stats import TransitionKind
+from repro.cpu.stats import (SPURIOUS_ADDRESS, SPURIOUS_PREDICATE,
+                             SPURIOUS_VALUE, USER, TransitionKind)
 from repro.debugger.expressions import SymbolResolver
 from repro.debugger.watchpoint import Watchpoint
 
@@ -32,12 +33,12 @@ def classify(address_hit: bool, value_changed: bool,
     ``predicate_true`` is None for unconditional watchpoints.
     """
     if not address_hit:
-        return TransitionKind.SPURIOUS_ADDRESS
+        return SPURIOUS_ADDRESS
     if not value_changed:
-        return TransitionKind.SPURIOUS_VALUE
+        return SPURIOUS_VALUE
     if predicate_true is False:
-        return TransitionKind.SPURIOUS_PREDICATE
-    return TransitionKind.USER
+        return SPURIOUS_PREDICATE
+    return USER
 
 
 class WatchpointMonitor:
@@ -111,7 +112,7 @@ class WatchpointMonitor:
                 elif predicate:
                     any_predicate_true = True
         if not any_changed:
-            return TransitionKind.SPURIOUS_ADDRESS
+            return SPURIOUS_ADDRESS
         if any_unconditional_change or any_predicate_true:
-            return TransitionKind.USER
-        return TransitionKind.SPURIOUS_PREDICATE
+            return USER
+        return SPURIOUS_PREDICATE

@@ -36,16 +36,27 @@ from repro.errors import UnsupportedWatchpointError
 from repro.harness.cache import (ResultCache, WarmCheckpointCache,
                                  default_cache, default_warm_cache)
 from repro.results import RunResult
-from repro.workloads.benchmarks import (watch_expression,
-                                        never_true_condition)
+from repro.workloads.benchmarks import (never_true_condition,
+                                        shared_benchmark, watch_expression)
+from repro.workloads.profiles import PROFILES
 
 
 def _build_workload(name: str):
     """Resolve any workload name (benchmark, ``gen:<seed>``, ``.s``).
 
-    Imported lazily: ``repro.workloads.corpus`` pulls in the fuzz
-    package, whose campaign module imports the harness back.
+    A named benchmark is built once per process and shared by every
+    cell, baseline and warm-up run on it: each backend runs on its own
+    ``program.copy()`` and an undebugged machine never edits the
+    program (see :func:`~repro.workloads.benchmarks.shared_benchmark`).
+    ``gen:<seed>`` and ``.s`` names build a fresh instance each time:
+    a ``.s`` file may change on disk between cells.
+
+    The corpus resolver is imported lazily: ``repro.workloads.corpus``
+    pulls in the fuzz package, whose campaign module imports the
+    harness back.
     """
+    if name in PROFILES:
+        return shared_benchmark(name)
     from repro.workloads.corpus import build_workload
 
     return build_workload(name)

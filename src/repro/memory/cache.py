@@ -28,11 +28,22 @@ from repro.config import CacheConfig, MachineConfig
 
 
 class AccessLevel(IntEnum):
-    """Where a memory access was satisfied."""
+    """Where a memory access was satisfied.
+
+    An ``IntEnum``, so a level indexes a tuple of per-level charges.
+    """
 
     L1 = 0
     L2 = 1
     MEMORY = 2
+
+
+# The members as module globals: every fetched line and data access
+# returns one, and Python 3.11 resolves ``AccessLevel.L1`` through the
+# enum metaclass (~78 ns) where a global costs ~5 ns (DESIGN.md §5).
+_L1 = AccessLevel.L1
+_L2 = AccessLevel.L2
+_MEMORY = AccessLevel.MEMORY
 
 
 class SetAssociativeCache:
@@ -142,18 +153,18 @@ class CacheHierarchy:
     def access_inst(self, address: int) -> AccessLevel:
         """Instruction fetch: probe I$ then L2; returns the hit level."""
         if self.l1i.access(address):
-            return AccessLevel.L1
+            return _L1
         if self.l2.access(address):
-            return AccessLevel.L2
-        return AccessLevel.MEMORY
+            return _L2
+        return _MEMORY
 
     def access_data(self, address: int) -> AccessLevel:
         """Data access: probe D$ then L2; returns the hit level."""
         if self.l1d.access(address):
-            return AccessLevel.L1
+            return _L1
         if self.l2.access(address):
-            return AccessLevel.L2
-        return AccessLevel.MEMORY
+            return _L2
+        return _MEMORY
 
     def reset(self) -> None:
         """Empty all levels and zero all counters."""

@@ -130,7 +130,10 @@ class TimelineQuery:
     (``repro.api.timeline(...)`` builds the whole stack); every method
     returns a :class:`QueryResult`.  Window store logs and transition
     scans are memoized per (start, end) extent — deterministic replay
-    makes them immutable for the controller's lifetime.
+    makes them immutable for the controller's lifetime.  A query keeps
+    only the entries ending at a checkpoint or at its own position, so
+    the memo holds the windows of the recorded history, not one tail
+    per position the session queried from.
     """
 
     def __init__(self, controller: ReverseController):
@@ -382,16 +385,34 @@ class TimelineQuery:
         the history that defines them.
         """
         machine = self.machine
+        end = machine.stats.app_instructions
+        self._drop_stale_tails(end)
         saved = self.backend.snapshot()
         saved_store = machine.checkpoint_store
         saved_observer = machine.store_observer
         try:
             machine.checkpoint_store = None
-            yield machine.stats.app_instructions
+            yield end
         finally:
             machine.store_observer = saved_observer
             self.backend.restore(saved)
             machine.checkpoint_store = saved_store
+
+    def _drop_stale_tails(self, end: int) -> None:
+        """Forget memoized windows that end where no query will look.
+
+        A window ends at the next checkpoint or, for the newest one, at
+        the live position a query entered at.  An entry ending anywhere
+        else is the tail of a position the session has left; a later
+        query reads it only if the session returns there, so keeping it
+        would grow the memo with every move.
+        """
+        ends = {checkpoint.app_instructions
+                for checkpoint in self.controller.store}
+        ends.add(end)
+        for memo in (self._window_events, self._window_transitions):
+            for key in [key for key in memo if key[1] not in ends]:
+                del memo[key]
 
     def _windows(self, end: int) -> list[tuple[object, int]]:
         """(checkpoint, end_app) extents covering recorded history up to

@@ -9,7 +9,7 @@ what makes silent stores (same-value writes) first-class events instead
 of invisible ones; a pure value-diff over checkpoints would miss them.
 
 Timing invariants the engine relies on (see
-:meth:`repro.cpu.machine.Machine._finish_store` and the interpreter
+:meth:`repro.cpu.machine.Machine._h_store` and the interpreter
 loops):
 
 * ``stats.app_instructions`` is incremented before the instruction's

@@ -74,7 +74,8 @@ def shared_benchmark(name: str) -> Program:
     Runs mutate machine memory, not the program, and every debugger
     backend appends to or rewrites its own ``program.copy()``, so a
     debug session may share this instance (the server's workers open
-    every benchmark session on it).  Callers that change a program
+    every benchmark session on it, and the harness runs every cell,
+    baseline and warm-up prefix on it).  Callers that change a program
     themselves use :func:`build_benchmark` for a private instance.
     """
     return build_benchmark(name)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.cpu.machine import Machine
 from repro.cpu.stats import TransitionKind
 from repro.debugger.dispatcher import CommandDispatcher
@@ -556,3 +557,27 @@ def test_memo_is_bounded_by_the_text():
     text_pcs = range(machine._text_base, machine._text_end, 4)
     assert memo and set(memo) <= set(text_pcs)
     assert len(memo) <= len(machine._text)
+
+
+def test_compiled_caches_are_bounded_by_the_text():
+    """The compiled tier under DISE, after 100K instructions and 50
+    restores, holds at most one block and one visit count per text PC
+    (its visit counts survive every restore)."""
+    session = Session(build_benchmark("gcc"), backend="dise",
+                      config=DEFAULT_CONFIG.with_(interpreter="compiled"))
+    session.watch("warm1")
+    backend = session.build_backend()
+    machine = backend.machine
+    blobs = []
+    for step in range(50):  # 100K instructions, 50 restores
+        machine.run(max_app_instructions=machine.stats.app_instructions
+                    + 2_000)
+        blobs.append(backend.snapshot())
+        backend.restore(blobs[step // 2])
+    machine.run(max_app_instructions=machine.stats.app_instructions + 2_000)
+    tier = machine._compiled
+    text_pcs = set(range(machine._text_base, machine._text_end, 4))
+    assert tier.blocks and tier._warm
+    for cache in (tier.blocks, tier._warm):
+        assert set(cache) <= text_pcs
+        assert len(cache) <= len(machine._text)

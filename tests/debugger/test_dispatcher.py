@@ -123,6 +123,15 @@ def test_print_and_x_data():
         dump.data["words"][0]["address"] + 8
 
 
+def test_x_dumps_up_to_the_top_of_the_address_space():
+    dispatcher = _dispatcher()
+    for start in ("0xffffffffffff0000", "0xfffffffffffff000"):
+        dump = dispatcher.dispatch("x", [start, "512"])
+        assert len(dump.data["words"]) == 512
+    last = dispatcher.dispatch("x", ["0xfffffffffffffff8", "1"])
+    assert last.data["words"][0]["address"] == 2 ** 64 - 8
+
+
 def test_overhead_data():
     dispatcher = _dispatcher()
     dispatcher.dispatch("watch", ["hot"])

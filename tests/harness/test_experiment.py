@@ -70,3 +70,39 @@ def test_single_step_dwarfs_dise(tiny_settings):
                         settings=tiny_settings)
     dise = run_cell("bzip2", "COLD", "dise", settings=tiny_settings)
     assert stepping.overhead > 100 * dise.overhead
+
+
+def test_cells_share_one_program_per_named_benchmark(monkeypatch,
+                                                     tiny_settings):
+    """Every cell, baseline and warm-up prefix on a named benchmark runs
+    on the process's one instance and leaves it unchanged; promoted
+    fuzz specs build afresh each time."""
+    from repro.debugger.backends import BACKENDS
+    from repro.harness.experiment import CellSpec, _build_workload, \
+        execute_spec
+    from repro.workloads import benchmarks
+
+    built = []
+    build = benchmarks.build_benchmark
+    monkeypatch.setattr(benchmarks, "build_benchmark",
+                        lambda name: built.append(name) or build(name))
+    benchmarks.shared_benchmark.cache_clear()
+    try:
+        program = benchmarks.shared_benchmark("bzip2")
+        digest = program.content_digest()
+        count = len(program.instructions)
+        warm = ExperimentSettings(measure_instructions=3_000,
+                                  warmup_instructions=2_000,
+                                  warm_start=True)
+        for backend in BACKENDS:
+            for settings in (tiny_settings, warm):
+                cell = execute_spec(CellSpec.make("bzip2", "HOT", backend),
+                                    settings)
+                assert cell.supported, cell
+        assert built == ["bzip2"]
+        assert benchmarks.shared_benchmark("bzip2") is program
+        assert program.content_digest() == digest
+        assert len(program.instructions) == count
+        assert _build_workload("gen:3") is not _build_workload("gen:3")
+    finally:
+        benchmarks.shared_benchmark.cache_clear()

@@ -235,6 +235,9 @@ BAD_ARGUMENTS = (
     ("x", ["hot", "²"], protocol.BAD_REQUEST),
     ("x", ["hot", "2000"], protocol.BAD_REQUEST),
     ("x", ["hot", "99999999999999999999999"], protocol.BAD_REQUEST),
+    ("x", ["0x10000000000000000", "1"], protocol.BAD_REQUEST),
+    ("x", ["-8", "1"], protocol.BAD_REQUEST),
+    ("x", ["0xfffffffffffffffc", "2"], protocol.BAD_REQUEST),
     ("break", ["0x"], protocol.BAD_REQUEST),
     ("break", ["0x1g"], protocol.BAD_REQUEST),
     ("break", ["0123"], protocol.BAD_REQUEST),

@@ -210,3 +210,23 @@ def test_result_roundtrips_through_dict(query):
 
     clone = QueryResult(**result.to_dict())
     assert clone == result
+
+
+def test_window_memos_keep_one_entry_per_window():
+    """A session that moves on between queries keeps one memo entry per
+    window (and expression), not one tail per position it queried at."""
+    from repro.debugger.dispatcher import CommandDispatcher
+    from repro.workloads.benchmarks import shared_benchmark
+
+    dispatcher = CommandDispatcher(shared_benchmark("bzip2"))
+    dispatcher.dispatch("run", ["1000"])
+    for _ in range(30):
+        dispatcher.dispatch("continue", ["1000"])
+        dispatcher.dispatch("last-write", ["hot"])
+        dispatcher.dispatch("first-write", ["hot"])
+        timeline = dispatcher._timeline
+        timeline.transitions("hot")
+        windows = len(timeline.controller.store) + 1
+        assert len(timeline._window_events) <= windows
+        assert len(timeline._window_transitions) <= windows
+    assert len(timeline.controller.store) > 1
