@@ -135,7 +135,7 @@ class TimingModel:
     def load(self, addr: int) -> None:
         """A load executes: port, DTLB, and D$ hierarchy charges."""
         if self._loads_this_cycle >= self._load_ports:
-            # Ports full: this load issues in the next cycle.
+            # Ports full: this load waits for the next cycle.
             self.cycles += 1.0
             self._slots = 0
             self._loads_this_cycle = 1
@@ -154,7 +154,7 @@ class TimingModel:
     def store(self, addr: int) -> None:
         """A store executes: port and cache-state charges (no stall)."""
         if self._stores_this_cycle >= self._store_ports:
-            # Ports full: this store issues in the next cycle.
+            # Ports full: this store waits for the next cycle.
             self.cycles += 1.0
             self._slots = 0
             self._loads_this_cycle = 0
