@@ -19,20 +19,23 @@ from tests.cpu.timing_reference import RefTimingModel
 _CONFIG = MachineConfig().with_(branch_predictor_entries=64,
                                 btb_entries=16)
 
-# Addresses over a few pages and lines, with enough spread to miss in
+# Mostly a few hot lines on two pages, so accesses hit and the port
+# limits decide the cycle; sometimes anywhere in 16 MB, so they miss in
 # every level and every TLB.
+_HOT = st.sampled_from([0x1000, 0x1008, 0x1040, 0x1080, 0x2000, 0x2040])
 _ADDRESS = st.one_of(
+    _HOT, _HOT, _HOT,
     st.integers(0, 0x3FFF),
     st.integers(0, 1 << 24).map(lambda a: a & ~0x7),
-    st.sampled_from([0x1000, 0x1040, 0x10_0000, 0x20_0000, 0x30_0000]),
 )
 _PC = st.integers(0x1000, 0x1FFF).map(lambda a: a & ~0x3)
 
+_LOAD = st.tuples(st.just("load"), _ADDRESS)
+_STORE = st.tuples(st.just("store"), _ADDRESS)
 _EVENT = st.one_of(
     st.tuples(st.just("fetch"), _PC),
     st.tuples(st.just("commit")),
-    st.tuples(st.just("load"), _ADDRESS),
-    st.tuples(st.just("store"), _ADDRESS),
+    _LOAD, _LOAD, _LOAD, _STORE, _STORE, _STORE,
     st.tuples(st.just("conditional_branch"), _PC, st.booleans()),
     st.tuples(st.just("call"), _PC, _PC),
     st.tuples(st.just("return_"), _PC, _PC),
@@ -55,10 +58,7 @@ def _observe(model) -> tuple:
             model.predictor.lookups, model.predictor.mispredictions)
 
 
-@settings(max_examples=150, deadline=None)
-@given(events=st.lists(_EVENT, min_size=20, max_size=300),
-       cut=st.integers(0, 300), multithreaded=st.booleans())
-def test_event_stream_matches_the_reference(events, cut, multithreaded):
+def _check(events, cut, multithreaded=False):
     config = _CONFIG.with_(multithreaded_dise_calls=multithreaded)
     live, ref = TimingModel(config), RefTimingModel(config)
     blobs = None
@@ -75,6 +75,27 @@ def test_event_stream_matches_the_reference(events, cut, multithreaded):
         for name, *args in events[cut:]:
             assert getattr(live, name)(*args) == getattr(ref, name)(*args)
             assert _observe(live) == _observe(ref), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(events=st.lists(_EVENT, min_size=20, max_size=300),
+       cut=st.integers(0, 300), multithreaded=st.booleans())
+def test_event_stream_matches_the_reference(events, cut, multithreaded):
+    _check(events, cut, multithreaded)
+
+
+# Only hits and commits: the port limits and commit width alone decide
+# when a cycle ends.
+_PORT_EVENT = st.one_of(st.tuples(st.just("load"), _HOT),
+                        st.tuples(st.just("store"), _HOT),
+                        st.tuples(st.just("commit")))
+
+
+@settings(max_examples=100, deadline=None)
+@given(events=st.lists(_PORT_EVENT, min_size=20, max_size=200),
+       cut=st.integers(0, 200))
+def test_port_contention_matches_the_reference(events, cut):
+    _check(events, cut)
 
 
 @settings(max_examples=100, deadline=None)
