@@ -282,17 +282,21 @@ class CommandDispatcher:
 
     def cmd_run(self, args: list[str]) -> CommandResult:
         """run [N] — (re)start and run up to N application instructions."""
+        budget = self._budget(args)  # a bad count keeps the active run
         self._invalidate()
-        return CommandResult("run", **self._continue(args))
+        return CommandResult("run", **self._continue(budget))
 
     def cmd_continue(self, args: list[str]) -> CommandResult:
         """continue [N] — resume until the next hit, halt, or N instrs."""
-        return CommandResult("continue", **self._continue(args))
+        return CommandResult("continue", **self._continue(self._budget(args)))
 
-    def _continue(self, args: list[str]) -> dict:
+    def _budget(self, args: list[str]) -> int:
         budget = parse_count(args[0]) if args else self.default_step
         if budget is None:
             raise CommandError("usage: continue [N]")
+        return budget
+
+    def _continue(self, budget: int) -> dict:
         backend = self._ensure_backend()
         machine = backend.machine
         target = machine.stats.app_instructions + budget

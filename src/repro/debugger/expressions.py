@@ -409,16 +409,22 @@ class _Parser:
         lo = 0
         hi: int | None = None
         if self.peek() != ":":
-            lo = int(self.take(), 0)
+            lo = self._number()
         if self.peek() == ":":
             self.take()
             if self.peek() != "]":
-                hi = int(self.take(), 0)
+                hi = self._number()
             self.expect("]")
             return Range(name, lo, hi)
         self.expect("]")
         # name[i] — a single element; treat as an 8-byte slot.
         return Range(name, lo * QUAD, (lo + 1) * QUAD)
+
+    def _number(self) -> int:
+        token = self.take()
+        if not _is_number(token):
+            raise ExpressionError(f"expected a number, got {token!r}")
+        return int(token, 0)
 
 
 def _is_number(token: str) -> bool:

@@ -62,6 +62,22 @@ def code_version() -> str:
     return _CODE_VERSION
 
 
+def write_atomically(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file beside it and
+    a rename, so a reader sees the old file or the whole new one."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class RecordStore:
     """A directory of keyed, code-versioned records, one file per key.
 
@@ -128,17 +144,7 @@ class RecordStore:
             "result": self._encode(value),
         })
         self.directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, self.path_for(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomically(self.path_for(key), data)
         self.stores += 1
 
     def clear(self) -> int:

@@ -99,9 +99,11 @@ class Program:
     def index_of_pc(self, pc: int) -> int:
         """Instruction index of ``pc`` (must be aligned and in text)."""
         offset = pc - TEXT_BASE
-        if offset < 0 or offset % INSTRUCTION_BYTES:
+        index = offset // INSTRUCTION_BYTES
+        if (offset < 0 or offset % INSTRUCTION_BYTES
+                or index >= len(self.instructions)):
             raise AssemblyError(f"pc {pc:#x} is not an instruction address")
-        return offset // INSTRUCTION_BYTES
+        return index
 
     def pc_of_label(self, label: str) -> int:
         """PC of a defined label."""

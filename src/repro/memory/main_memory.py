@@ -1,9 +1,12 @@
 """Sparse, paged, byte-addressable main memory.
 
 Storage is allocated lazily in fixed-size pages (bytearrays) so that a
-64-bit address space costs only what the program touches.  Accesses that
-cross a page boundary take a slower correct path; the common aligned case
-is a direct slice of one page.
+64-bit address space costs only what the program writes.  A page that
+was never written reads as zeros and stays absent: reads never allocate,
+so a debugger client dumping unmapped addresses cannot grow the page
+directory (or every later snapshot of it).  Accesses that cross a page
+boundary take a slower correct path; the common aligned case is a direct
+slice of one page.
 
 Integers are stored little-endian.  Loads return unsigned values; the
 functional executor applies sign interpretation where an opcode requires
@@ -42,13 +45,6 @@ class MainMemory:
         # Pages shared with at least one snapshot; cloned before mutation.
         self._frozen: set[int] = set()
 
-    def _page(self, page_number: int) -> bytearray:
-        page = self._pages.get(page_number)
-        if page is None:
-            page = bytearray(PAGE_BYTES)
-            self._pages[page_number] = page
-        return page
-
     def _writable_page(self, page_number: int) -> bytearray:
         page = self._pages.get(page_number)
         if page is None:
@@ -67,7 +63,9 @@ class MainMemory:
         """Read ``size`` bytes at ``address`` as an unsigned integer."""
         offset = address & _PAGE_MASK
         if offset + size <= PAGE_BYTES:
-            page = self._page(address >> _PAGE_SHIFT)
+            page = self._pages.get(address >> _PAGE_SHIFT)
+            if page is None:
+                return 0
             return int.from_bytes(page[offset:offset + size], "little")
         return int.from_bytes(self.read_bytes(address, size), "little")
 
@@ -93,7 +91,7 @@ class MainMemory:
         while remaining:
             offset = cursor & _PAGE_MASK
             take = min(remaining, PAGE_BYTES - offset)
-            page = self._page(cursor >> _PAGE_SHIFT)
+            page = self._pages.get(cursor >> _PAGE_SHIFT, _ZERO_PAGE)
             chunks.append(bytes(page[offset:offset + take]))
             cursor += take
             remaining -= take
@@ -136,9 +134,8 @@ class MainMemory:
     def state_fingerprint(self) -> str:
         """Content hash of memory, canonical across residency layouts.
 
-        All-zero pages hash identically to absent pages, so a page that
-        was lazily allocated but never written does not perturb the
-        fingerprint.
+        All-zero pages hash identically to absent pages, so a page whose
+        writes left only zeros does not perturb the fingerprint.
         """
         digest = hashlib.sha256()
         for page_number in sorted(self._pages):
@@ -158,7 +155,7 @@ class MainMemory:
 
     @property
     def resident_pages(self) -> int:
-        """Number of pages that have been touched."""
+        """Number of pages that have been written."""
         return len(self._pages)
 
     def clear(self) -> None:

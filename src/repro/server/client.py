@@ -50,11 +50,16 @@ def default_address(state_dir: Union[str, Path] = ".repro_server"
     state_file = Path(state_dir) / "server.json"
     try:
         state = json.loads(state_file.read_text())
-        return str(state["host"]), int(state["port"])
+        host, port = state["host"], state["port"]
+        # bool is an int subclass: ``"port": true`` is refused too.
+        if (not isinstance(host, str) or type(port) is not int
+                or not 1 <= port <= 65535):
+            raise ValueError(f"bad address {host!r}:{port!r}")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ReproError(
             f"no running server found via {state_file} "
             f"(start one with repro-server, or pass HOST:PORT)") from exc
+    return host, port
 
 
 class _RequestMixin:

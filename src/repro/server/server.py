@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.debugger.dispatcher import DEFAULT_STEP, CommandError
+from repro.harness.cache import write_atomically
 from repro.server import protocol, worker
 from repro.server.admission import InstructionBudget, TokenBucket
 from repro.server.metrics import ServerMetrics
@@ -176,12 +177,13 @@ class DebugServer:
 
     def _write_state_file(self) -> None:
         state_dir = Path(self.config.state_dir)
+        state_file = state_dir / "server.json"
         try:
             state_dir.mkdir(parents=True, exist_ok=True)
-            self._state_file = state_dir / "server.json"
-            self._state_file.write_text(json.dumps(
+            write_atomically(state_file, json.dumps(
                 {"host": self.config.host, "port": self.port,
-                 "pid": os.getpid()}))
+                 "pid": os.getpid()}).encode())
+            self._state_file = state_file
         except OSError:
             self._state_file = None  # read-only cwd: serve without it
 

@@ -27,13 +27,21 @@ The matrix is the differential fuzz oracle's own
 (canonical :class:`~repro.fuzz.oracle.Stop` records, recorder-shadowed
 watched values, register/state/stats diffing): same matrix, same rules,
 a different program source.  :func:`check_entry` supplies the cells —
-each builds the entry and runs it undebugged or watching the entry's
-default target — and the self-check, applied to the undebugged run and
-to each backend's reference-tier run as it completes.
+each runs the entry undebugged or watching the entry's default target —
+and the self-check, applied to the undebugged run and to each backend's
+reference-tier run as it completes.
+
+:func:`check_entry` builds its entry once and shares that program with
+all of its runs.  Sharing is safe because no run changes it: every
+backend works on its own :meth:`~repro.isa.program.Program.copy` (the
+binary rewriter retargets copies, DISE replaces slots of its copy and
+appends to it), and an undebugged machine never calls ``patch_text``; a
+store into text only drops cached decode records.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -85,27 +93,31 @@ def _named_state(program: Program, symbols: Sequence[str],
 
     Addresses come from the *original* program image: data addresses
     are identical across backends because transforms only append.
+    Each symbol is one ``read_bytes`` call, unpacked as little-endian
+    quadwords.
     """
     out = []
     for name in symbols:
         symbol = program.symbol(name)
         words = max(1, symbol.size // QUAD)
-        for i in range(words):
-            label = name if words == 1 else f"{name}+{i * QUAD}"
-            out.append((label,
-                        memory.read_int(symbol.address + i * QUAD, QUAD)))
+        values = struct.unpack(f"<{words}Q", memory.read_bytes(
+            symbol.address, words * QUAD))
+        if words == 1:
+            out.append((name, values[0]))
+        else:
+            out.extend((f"{name}+{i * QUAD}", value)
+                       for i, value in enumerate(values))
     return tuple(out)
 
 
-def _run(entry: CorpusEntry, symbols: Sequence[str],
+def _run(entry: CorpusEntry, program: Program, symbols: Sequence[str],
          backend_name: Optional[str], interp: str,
          config: Optional[MachineConfig]) -> RunOutcome:
-    """One cell of the matrix: ``entry`` on tier ``interp``, undebugged
-    when ``backend_name`` is None, else watching the entry's default
-    target under that backend."""
+    """One cell of the matrix: ``program`` (``entry`` built) on tier
+    ``interp``, undebugged when ``backend_name`` is None, else watching
+    the entry's default target under that backend."""
     name = f"{backend_name or 'undebugged'}/{interp}"
     try:
-        program = entry.build()
         if backend_name is None:
             machine = Machine(program, _interp_config(config, interp),
                               detailed_timing=False)
@@ -135,11 +147,14 @@ def check_entry(entry: Union[CorpusEntry, str], *,
     if isinstance(entry, str):
         entry = entry_for(entry)
     report = ConformanceReport(workload=entry.name)
-    symbols = _data_symbols(entry.build())
+    # One build per call, not per process: a ``.s`` file may change on
+    # disk between calls.
+    program = entry.build()
+    symbols = _data_symbols(program)
 
     def run(backend_name: Optional[str], interp: str) -> RunOutcome:
         report.runs += 1
-        return _run(entry, symbols, backend_name, interp, config)
+        return _run(entry, program, symbols, backend_name, interp, config)
 
     def check_self(backend_name: Optional[str], outcome: RunOutcome) -> None:
         """A self-checking workload must have verified its own checksum."""

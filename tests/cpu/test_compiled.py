@@ -8,15 +8,21 @@ reload, an in-place patch, a self-modifying store into a text page,
 and any DISE production install/activate/deactivate.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config import DEFAULT_CONFIG
-from repro.cpu.compiled import _FALLBACK
+from repro.cpu.compiled import _FALLBACK, CompiledTier
 from repro.cpu.machine import Machine
 from repro.cpu.stats import TransitionKind
+from repro.debugger.backends import backend_class
+from repro.debugger.watchpoint import Breakpoint, Watchpoint
 from repro.dise.pattern import Pattern
 from repro.dise.production import Production
 from repro.dise.template import T, original, template
+from repro.fuzz.oracle import StopRecorder
 from repro.isa import assemble
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import SP, dise_reg
@@ -114,6 +120,77 @@ def test_compiled_limit_semantics_are_exact(count_loop_program):
     for machine in (table, compiled):
         assert machine.run().halted
     assert compiled.state_fingerprint() == table.state_fingerprint()
+
+
+# A watchpoint under single-stepping, and a breakpoint in a breakpoint
+# register: both trap at fetch, so the compiled tier runs no block.
+TRAPPING_FETCH = (("single_step", "watch", "hot"),
+                  ("hardware", "break", "loop_top"))
+
+
+def _trapping_fetch_run(backend_name, kind, target, interp, stop_on_user):
+    """crafty for 4,000 instructions under ``backend_name``: the
+    machine, its last run, the recorded stops and, when it stops on
+    user hits, each stop's (pc, instruction count)."""
+    point = (Watchpoint if kind == "watch" else Breakpoint).parse(
+        target, None, 1)
+    points = ([point], []) if kind == "watch" else ([], [point])
+    # Threshold 1: a chain-loop visit would compile a block at once.
+    config = CONFIGS[interp].with_(compiled_hot_threshold=1)
+    backend = backend_class(backend_name)(build_benchmark("crafty"),
+                                          *points, config)
+    recorder = StopRecorder(backend)
+    machine = backend.machine
+    machine.stop_on_user = stop_on_user
+    result = machine.run(4000)
+    stops = []
+    while result.stopped_at_user:
+        stops.append((machine.pc, result.stats.app_instructions))
+        result = machine.run(4000)
+    return machine, result, recorder.stops, stops
+
+
+@pytest.mark.parametrize("stop_on_user", (False, True),
+                         ids=("recorded", "interactive"))
+@pytest.mark.parametrize("backend_name, kind, target", TRAPPING_FETCH,
+                         ids=("single_step", "breakpoint_register"))
+def test_trapping_fetch_runs_hand_the_call_to_the_table_loop(
+        backend_name, kind, target, stop_on_user, monkeypatch):
+    steps = []
+    step = CompiledTier._step
+
+    def counting_step(tier):
+        steps.append(tier)
+        step(tier)
+
+    monkeypatch.setattr(CompiledTier, "_step", counting_step)
+    runs = {}
+    for interp in ("table", "compiled"):
+        machine, result, recorded, stops = _trapping_fetch_run(
+            backend_name, kind, target, interp, stop_on_user)
+        runs[interp] = (_observables(machine, result), recorded, stops)
+    # One table-loop call per run, not one per instruction.
+    assert steps == []
+    assert machine._compiled.blocks == {}
+    assert runs["table"][1]  # the runs did trap
+    assert bool(runs["table"][2]) == stop_on_user
+    assert runs["compiled"] == runs["table"]
+
+
+def test_dropped_compiled_machine_is_freed_by_reference_counting():
+    """The per-process code cache holds code objects only, never a
+    machine or its blocks: a dropped machine and its compiled tier are
+    freed without the cycle collector."""
+    gc.disable()
+    try:
+        machine = Machine(assemble(LOOP), COMPILED)
+        machine.run()
+        assert machine._compiled.blocks
+        refs = [weakref.ref(machine), weakref.ref(machine._compiled)]
+        del machine
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_unknown_interpreter_is_rejected():

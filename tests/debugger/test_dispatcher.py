@@ -10,6 +10,7 @@ import pytest
 
 from repro.debugger.dispatcher import (CommandDispatcher, CommandError,
                                        CommandResult)
+from repro.memory.main_memory import PAGE_BYTES
 from tests.conftest import make_watch_loop
 
 
@@ -130,6 +131,48 @@ def test_x_dumps_up_to_the_top_of_the_address_space():
         assert len(dump.data["words"]) == 512
     last = dispatcher.dispatch("x", ["0xfffffffffffffff8", "1"])
     assert last.data["words"][0]["address"] == 2 ** 64 - 8
+
+
+def test_run_with_a_bad_count_keeps_the_active_run():
+    # The count is parsed before `run` restarts: a typo must not throw
+    # away the run the session is in.
+    dispatcher = _dispatcher()
+    dispatcher.dispatch("run", ["100"])
+    backend = dispatcher._backend_obj
+    fingerprint = backend.state_fingerprint()
+    with pytest.raises(CommandError) as excinfo:
+        dispatcher.dispatch("run", ["soon"])
+    assert excinfo.value.code == "bad-request"
+    assert dispatcher._backend_obj is backend
+    assert backend.state_fingerprint() == fingerprint
+    assert backend.machine.stats.app_instructions == 100
+
+
+def test_dise_breakpoint_outside_text_is_refused():
+    # Past the end of text it used to index past the instruction list,
+    # an internal error on the wire.
+    program = make_watch_loop(30)
+    for pc in (program.pc_of_index(len(program.instructions)), 0xff8):
+        dispatcher = CommandDispatcher(program, backend="dise")
+        dispatcher.dispatch("break", [hex(pc)])
+        with pytest.raises(CommandError, match="not an instruction") as info:
+            dispatcher.dispatch("run", [])
+        assert info.value.code == "command-failed"
+
+
+def test_x_on_unmapped_pages_allocates_nothing():
+    # A dump reads memory; it must not map the pages it reads, or any
+    # client could grow the session (and every later snapshot of it)
+    # with read-only verbs.
+    dispatcher = _dispatcher()
+    dispatcher.dispatch("run", ["100"])
+    memory = dispatcher._backend_obj.machine.memory
+    before = memory.resident_pages
+    for page in range(1000):
+        address = (1 << 40) + page * PAGE_BYTES
+        dump = dispatcher.dispatch("x", [hex(address), "1"])
+        assert dump.data["words"] == [{"address": address, "value": 0}]
+    assert memory.resident_pages == before
 
 
 def test_overhead_data():

@@ -113,6 +113,14 @@ class TestParsing:
         with pytest.raises(ExpressionError):
             parse_expression("arr[0:] + 1")
 
+    @pytest.mark.parametrize("text", ("arr[<", "arr[a]", "arr[0:b]",
+                                      "arr[]", "arr[" + "9" * 5000 + "]"),
+                             ids=("operator", "name", "name-bound", "empty",
+                                  "5000-digits"))
+    def test_non_numeric_range_bound_rejected(self, text):
+        with pytest.raises(ExpressionError, match="expected a number"):
+            parse_expression(text)
+
 
 class TestEvaluation:
     def test_variable(self, resolver, memory):

@@ -27,8 +27,10 @@ def test_pc_index_mapping():
     program = _simple_program()
     assert program.pc_of_index(0) == TEXT_BASE
     assert program.index_of_pc(TEXT_BASE + 4) == 1
-    with pytest.raises(AssemblyError):
-        program.index_of_pc(TEXT_BASE + 2)  # misaligned
+    end = program.pc_of_index(len(program.instructions))
+    for pc in (TEXT_BASE + 2, TEXT_BASE - 4, end, end + 0x1000):
+        with pytest.raises(AssemblyError):  # misaligned or outside text
+            program.index_of_pc(pc)
 
 
 def test_data_layout_starts_at_base_and_aligns():

@@ -13,6 +13,24 @@ def test_uninitialized_reads_zero():
     assert memory.read_bytes(0x9999, 16) == bytes(16)
 
 
+def test_reads_never_allocate_pages():
+    memory = MainMemory()
+    memory.write_int(PAGE_BYTES, 8, 0x0102030405060708)
+    assert memory.resident_pages == 1
+    # Absent pages, whole or straddled into from a resident one (and
+    # from an absent one into a resident one), read as zeros.
+    assert memory.read_int(5 * PAGE_BYTES, 8) == 0
+    assert memory.read_bytes(7 * PAGE_BYTES + 100, 3 * PAGE_BYTES) == \
+        bytes(3 * PAGE_BYTES)
+    assert memory.read_int(2 * PAGE_BYTES - 4, 8) == 0
+    assert memory.read_bytes(PAGE_BYTES - 4, 12) == \
+        bytes(4) + (0x0102030405060708).to_bytes(8, "little")
+    assert memory.read_int(PAGE_BYTES - 4, 8) == 0x0506070800000000
+    assert memory.resident_pages == 1
+    # A snapshot holds only the written page.
+    assert len(memory.snapshot()) == 1
+
+
 @pytest.mark.parametrize("size", [1, 2, 4, 8])
 def test_int_roundtrip_sizes(size):
     memory = MainMemory()

@@ -7,6 +7,8 @@ the way scripts and the remote REPL do.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.debugger.repl import DebuggerShell, RemoteShell, help_text
@@ -54,6 +56,26 @@ def test_default_address_reads_state_file(server, tmp_path):
     with pytest.raises(ReproError) as excinfo:
         default_address(tmp_path / "nowhere")
     assert "repro-server" in str(excinfo.value)
+
+
+def test_default_address_refuses_truncated_and_bad_state_files(tmp_path):
+    state_file = tmp_path / "server.json"
+    valid = json.dumps({"host": "127.0.0.1", "port": 4242, "pid": 7})
+    state_file.write_text(valid)
+    assert default_address(tmp_path) == ("127.0.0.1", 4242)
+    bad = [valid[:cut] for cut in range(len(valid))] + [
+        '{"host": "h", "port": 1e999}',  # used to escape as OverflowError
+        '{"host": "h", "port": 70000}',  # used to fail later, at connect
+        '{"host": "h", "port": -5}',
+        '{"host": "h", "port": true}',
+        '{"host": "h", "port": 0}',
+        '{"host": "h", "port": "4242"}',
+        '{"host": 5, "port": 4242}',
+        '["h", 4242]']
+    for text in bad:
+        state_file.write_text(text)
+        with pytest.raises(ReproError, match="no running server"):
+            default_address(tmp_path)
 
 
 def test_remote_shell_matches_local_shell(server):

@@ -8,6 +8,9 @@ the failure mode they exercise.
 from __future__ import annotations
 
 import asyncio
+import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.debugger.dispatcher import (MAX_DUMP_QUADS, CommandDispatcher,
 from repro.isa import assemble
 from repro.server import protocol, worker
 from repro.server.client import ServerError
+from repro.server.metrics import SAMPLE_WINDOW
 from repro.server.server import DebugServer, ServerConfig
 from tests.server.conftest import (connected, count_asm, run_async,
                                    running_server, thread_config)
@@ -480,11 +484,68 @@ def test_state_file_lifecycle(tmp_path):
         server = await DebugServer(config).start()
         state = tmp_path / "repro_server" / "server.json"
         assert state.exists()
-        import json
         recorded = json.loads(state.read_text())
         assert recorded["port"] == server.port
         await server.stop()
         assert not state.exists()
+
+    run_async(scenario())
+
+
+def test_state_file_is_written_by_rename(tmp_path, monkeypatch):
+    """A reader sees no state file or a whole one, never a prefix: the
+    record is written to a temporary file beside it, then renamed."""
+    renames = []
+    rename = os.replace
+
+    def recording_rename(source, target):
+        renames.append((Path(source), Path(target),
+                        Path(source).read_text()))
+        rename(source, target)
+
+    monkeypatch.setattr(os, "replace", recording_rename)
+
+    async def scenario():
+        config = thread_config(tmp_path)
+        async with running_server(config) as server:
+            state = tmp_path / "repro_server" / "server.json"
+            [(source, target, text)] = renames
+            assert target == state and source.parent == state.parent
+            assert json.loads(text)["port"] == server.port
+            assert state.read_text() == text
+            assert sorted(state.parent.iterdir()) == [state]
+
+    run_async(scenario())
+
+
+def test_unwritable_state_file_leaves_no_temporary(tmp_path, monkeypatch):
+    def failing_rename(source, target):
+        raise OSError("read-only file system")
+
+    monkeypatch.setattr(os, "replace", failing_rename)
+
+    async def scenario():
+        async with running_server(thread_config(tmp_path)) as server:
+            async with connected(server) as client:
+                assert (await client.request("ping"))["ok"]
+            assert not list((tmp_path / "repro_server").iterdir())
+
+    run_async(scenario())
+
+
+def test_latency_windows_are_bounded(server_config):
+    requests = SAMPLE_WINDOW + 50
+
+    async def scenario():
+        async with running_server(server_config) as server:
+            async with connected(server) as client:
+                for _ in range(requests):
+                    await client.request("ping")
+            stats = server.metrics.verbs["ping"]
+            assert stats.count == requests
+            assert len(stats.samples) == SAMPLE_WINDOW
+            assert all(len(verb.samples) <= SAMPLE_WINDOW
+                       for verb in server.metrics.verbs.values())
 
     run_async(scenario())
 

@@ -34,8 +34,9 @@ def _compute_golden(entry) -> dict:
     """The canonical record for one corpus entry (JSON-ready)."""
     program = entry.build()
     symbols = _data_symbols(program)
-    base = _run(entry, symbols, None, "table", None)
-    debugged = _run(entry, symbols, _REFERENCE_BACKEND, "table", None)
+    base = _run(entry, program, symbols, None, "table", None)
+    debugged = _run(entry, program, symbols, _REFERENCE_BACKEND, "table",
+                    None)
     if base.error or debugged.error:
         raise RuntimeError(f"golden workload {entry.name} failed: "
                            f"{base.error or debugged.error}")
