@@ -1,13 +1,14 @@
 """Interpreter throughput: legacy chain vs dispatch table vs compiled,
-and the timing model's cost on the table tier.
+the timing model's cost on the table tier, and the host cost of a DISE
+expansion.
 
 Measures interpreter speed in simulated instructions per wall-clock
 second on the Figure 3 workloads and records the numbers to
 ``benchmarks/results/interpreter_throughput.txt``.  The first two
-exhibits run functional mode (``detailed_timing=False``); the third
-runs the table tier timed, as the figure grid and debug sessions do.
+exhibits run functional mode (``detailed_timing=False``); the last two
+run the table tier timed, as the figure grid and debug sessions do.
 
-Three exhibits share the file:
+Four exhibits share the file:
 
 * **legacy vs table** (plain and with a DISE watchpoint-style
   expansion active): short cold cells, ratio-checked against the
@@ -27,15 +28,22 @@ Three exhibits share the file:
   ``MEASURE_WINDOWS`` windows of ``TIMED_MEASURE_INSTRUCTIONS``) on
   both sides; the ratio of timed to functional time per instruction is
   what the timing model costs.
+* **DISE expansion cost**: the table tier, timed, steady state as in
+  the timed exhibit, under the DISE backend watching ``hot`` against
+  the same benchmark undebugged.  It reports the host time each
+  expansion adds (trigger match, translated tail, handler calls) in
+  microseconds, and the DISE/undebugged time ratio.  It has no gate:
+  the ratio moves with how much of the run the interpreter's own
+  per-instruction cost is, which differs by host.
 
 Asserts:
 
 * table/legacy plain geomean >= 1.5x and both table/legacy geomeans
   within 20% of the committed baselines (ratios, not absolute inst/s,
   so the check is machine-independent and usable as a CI smoke test);
-* compiled/table plain geomean >= COMPILED_FLOOR_SPEEDUP (3.0x) — the
-  CI regression floor under the 5x bench target recorded in the
-  results file;
+* compiled/table plain geomean >= COMPILED_FLOOR_SPEEDUP (3.0x), a
+  regression floor well under the measured speedup the results file
+  records;
 * timed/functional geomean time ratio <= REGRESSION_CEILING times the
   committed TIMED_RATIO_BASELINE (a ratio, so machine-independent).
 
@@ -53,6 +61,7 @@ from benchmarks.conftest import record
 from repro.config import MachineConfig
 from repro.cpu.machine import Machine
 from repro.cpu.stats import TransitionKind
+from repro.debugger import Session
 from repro.dise.pattern import Pattern
 from repro.dise.production import Production
 from repro.dise.template import original, template
@@ -82,10 +91,9 @@ COMPILED = MachineConfig(interpreter="compiled")
 BASELINE_SPEEDUP = {"plain": 1.77, "dise": 1.75}
 REGRESSION_TOLERANCE = 0.8
 
-# The compiled tier's bench target is >=5x over the table geomean
-# (recorded in the results file); the CI floor is deliberately lower
-# so shared-runner noise cannot fail a healthy build.
-COMPILED_TARGET_SPEEDUP = 5.0
+# The compiled tier's floor over the table geomean, deliberately below
+# the measured speedup (recorded in the results file) so shared-runner
+# noise cannot fail a healthy build.
 COMPILED_FLOOR_SPEEDUP = 3.0
 
 # Committed geomean of (timed time per instruction) / (functional time
@@ -123,22 +131,50 @@ def _throughput(name: str, config: MachineConfig, with_dise: bool) -> float:
     return machine.stats.total_instructions / elapsed
 
 
+def _best_window(machine: Machine, warm: int,
+                 window: int) -> tuple[float, int, int]:
+    """Warm ``machine``, then time MEASURE_WINDOWS windows of ``window``
+    application instructions; return the fastest window's (seconds,
+    instructions, DISE expansions)."""
+    machine.run(max_app_instructions=warm)
+    best = None
+    target = warm
+    for _ in range(MEASURE_WINDOWS):
+        stats = machine.stats
+        before = (stats.total_instructions, stats.dise_expansions)
+        target += window
+        start = time.perf_counter()
+        machine.run(max_app_instructions=target)
+        elapsed = time.perf_counter() - start
+        if best is None or elapsed < best[0]:
+            best = (elapsed, stats.total_instructions - before[0],
+                    stats.dise_expansions - before[1])
+    return best
+
+
 def _steady_state(name: str, config: MachineConfig, timed: bool = False,
                   warm: int = WARM_INSTRUCTIONS,
                   window: int = MEASURE_INSTRUCTIONS) -> float:
     """Warm, then return the best inst/s over MEASURE_WINDOWS windows."""
     machine = _machine(name, config, with_dise=False, timed=timed)
-    machine.run(max_app_instructions=warm)
-    best = 0.0
-    target = warm
-    for _ in range(MEASURE_WINDOWS):
-        before = machine.stats.total_instructions
-        target += window
-        start = time.perf_counter()
-        machine.run(max_app_instructions=target)
-        elapsed = time.perf_counter() - start
-        best = max(best, (machine.stats.total_instructions - before) / elapsed)
-    return best
+    elapsed, instructions, _ = _best_window(machine, warm, window)
+    return instructions / elapsed
+
+
+def dise_expansion_cost(name: str) -> tuple[float, float, float]:
+    """The fourth exhibit's cell: (undebugged seconds, DISE seconds,
+    host us per expansion) for the best timed, steady-state window of
+    ``name`` on the table tier, the DISE run watching ``hot``."""
+    plain = _machine(name, TABLE, with_dise=False, timed=True)
+    plain_s, _, _ = _best_window(plain, TIMED_WARM_INSTRUCTIONS,
+                                 TIMED_MEASURE_INSTRUCTIONS)
+    session = Session(build_benchmark(name), backend="dise", config=TABLE)
+    session.watch("hot")
+    backend = session.build_backend()  # holds the machine's trap handler
+    dise_s, _, expansions = _best_window(backend.machine,
+                                         TIMED_WARM_INSTRUCTIONS,
+                                         TIMED_MEASURE_INSTRUCTIONS)
+    return plain_s, dise_s, (dise_s - plain_s) / expansions * 1e6
 
 
 def _geomean(values: list[float]) -> float:
@@ -189,7 +225,6 @@ def test_interpreter_throughput(results_dir):
     lines += [
         "",
         f"geomean speedup (compiled/table, plain): {geo_compiled:.2f}x",
-        f"bench target: >={COMPILED_TARGET_SPEEDUP:.0f}x; "
         f"CI floor: >={COMPILED_FLOOR_SPEEDUP:.1f}x",
         "",
         "Table tier, timed vs functional, steady state (plain; warm "
@@ -216,6 +251,25 @@ def test_interpreter_throughput(results_dir):
         f"geomean time ratio (timed/functional): {geo_timed:.2f}x",
         f"committed baseline: {TIMED_RATIO_BASELINE:.2f}x; CI ceiling: "
         f"<={REGRESSION_CEILING * TIMED_RATIO_BASELINE:.2f}x",
+        "",
+        "Table tier, timed, DISE watching hot vs undebugged, steady "
+        f"state (warm {TIMED_WARM_INSTRUCTIONS:,}, best of "
+        f"{MEASURE_WINDOWS} x {TIMED_MEASURE_INSTRUCTIONS:,}-application-"
+        "instruction windows)",
+        "",
+        f"{'benchmark':<10} {'undebugged':>11} {'dise':>11} "
+        f"{'us/expansion':>13} {'time ratio':>10}",
+    ]
+    dise_ratios = []
+    for name in BENCHMARK_NAMES:
+        plain_s, dise_s, per_expansion = dise_expansion_cost(name)
+        dise_ratios.append(dise_s / plain_s)
+        lines.append(f"{name:<10} {plain_s:>10.3f}s {dise_s:>10.3f}s "
+                     f"{per_expansion:>13.2f} {dise_s / plain_s:>9.2f}x")
+    lines += [
+        "",
+        "geomean time ratio (dise/undebugged): "
+        f"{_geomean(dise_ratios):.2f}x (recorded, not gated)",
     ]
     record(results_dir, "interpreter_throughput", "\n".join(lines))
 
@@ -226,8 +280,8 @@ def test_interpreter_throughput(results_dir):
         f"plain speedup {geo_plain:.2f}x regressed >20% vs baseline"
     assert geo_dise >= REGRESSION_TOLERANCE * BASELINE_SPEEDUP["dise"], \
         f"dise speedup {geo_dise:.2f}x regressed >20% vs baseline"
-    # Compiled-tier regression floor (the bench target is 5x; the CI
-    # floor leaves headroom for slow shared runners).
+    # Compiled-tier regression floor (headroom below the measured
+    # speedup for slow shared runners).
     assert geo_compiled >= COMPILED_FLOOR_SPEEDUP, \
         f"compiled speedup {geo_compiled:.2f}x < {COMPILED_FLOOR_SPEEDUP}x"
     # Timing-model ceiling: timed runs may not cost more than 20% over

@@ -51,13 +51,18 @@ branch events) directly into the block, in table-interpreter order, so
 cycle counts are identical; functional runs compile none of them.
 
 Code objects are shared per process: :func:`_code` memoizes
-``compile()`` by generated source and entry PC.  Sharing is exact
+``compile()`` by generated source and a label naming the entry PC.
+Sharing is exact
 because a block's source spells every environment input that shapes it
 (PCs, text bounds, the text version in loop guards, timed or
 functional), the generated function takes the machine and its state as
 arguments, and each machine still ``exec``s the code in its own
 namespace, which binds that block's ALU functions.  Block caches,
 visit counts and ``_FALLBACK`` decisions stay per machine.
+
+The same emitters translate the DISE-inserted tail of each replacement
+sequence into one function that the table loop calls once the trigger
+has committed (:func:`translate_tail`, at the end of this module).
 """
 
 from __future__ import annotations
@@ -65,12 +70,16 @@ from __future__ import annotations
 import functools
 import weakref
 
-from repro.cpu.functional import MASK64, SIGN_BIT
+from repro.cpu.functional import ALU_FUNCS, MASK64, SIGN_BIT
 from repro.memory.main_memory import PAGE_BYTES
 from repro.isa.instruction import (H_ALU_IMM, H_ALU_LDA, H_ALU_MOV, H_ALU_REG,
-                                   H_BRANCH, H_JUMP_BR, H_JUMP_JMP, H_JUMP_JSR,
-                                   H_JUMP_RET, H_LOAD, H_NOP, H_STORE)
-from repro.isa.opcodes import Opcode
+                                   H_BRANCH, H_CTRAP, H_DISE_BRANCH,
+                                   H_DISE_CALL, H_JUMP_BR, H_JUMP_JMP,
+                                   H_JUMP_JSR, H_JUMP_RET, H_LOAD, H_NOP,
+                                   H_STORE)
+from repro.isa.opcodes import Opcode, opcode_info
+from repro.isa.program import INSTRUCTION_BYTES
+from repro.isa.registers import DISE_REG_BASE, NUM_GPRS, ZERO_REG
 
 # Cache entry marking a PC whose instruction must run on the table
 # interpreter (DISE candidate, trap, non-fast operands, ...).
@@ -121,9 +130,10 @@ CODE_CACHE_SIZE = 1024
 
 
 @functools.lru_cache(maxsize=CODE_CACHE_SIZE)
-def _code(src: str, start_pc: int):
-    """The code object of a generated block (see the module docstring)."""
-    return compile(src, f"<block@{start_pc:#x}>", "exec")
+def _code(src: str, name: str):
+    """The code object of generated source (see the module docstring);
+    ``name`` labels it in tracebacks (``block@0x1040``)."""
+    return compile(src, f"<{name}>", "exec")
 
 
 _INLINE_ALU = frozenset({
@@ -247,17 +257,20 @@ def _alu_line(inst, d, ns: dict) -> str:
     return f"regs[{inst.rd}] = {expr}"
 
 
-def _load_lines(inst, d, timed: bool) -> list[str]:
-    """A fast-register load with ``MainMemory.read_int`` inlined.
+def _load_lines(dest: str, base: str, disp, size: int,
+                timed: bool) -> list[str]:
+    """A load of ``size`` bytes at ``base + disp`` into ``dest``, with
+    ``MainMemory.read_int`` inlined.
 
-    The fast path reads a resident page directly; missing pages and
-    page-crossing accesses call ``read_int``.
+    The operands are expressions (``regs[3]``, a DISE register, a
+    per-trigger immediate).  The fast path reads a resident page
+    directly; missing pages and page-crossing accesses call
+    ``read_int``.
     """
-    size = d.mem_size
-    lines = [f"_a = (regs[{inst.rs1}] + {inst.imm}) & M",
+    lines = [f"_a = ({base} + {disp}) & M",
              f"_p = pg(_a >> {_PAGE_SHIFT})",
              f"_o = _a & {_PAGE_MASK}",
-             f"regs[{inst.rd}] = (fb(_p[_o:_o + {size}], 'little') "
+             f"{dest} = (fb(_p[_o:_o + {size}], 'little') "
              f"if _p is not None and _o <= {PAGE_BYTES - size} "
              f"else read_int(_a, {size}))"]
     if timed:
@@ -610,7 +623,9 @@ class CompiledTier:
                     r_nops += 1
                 else:
                     if rh == H_LOAD:
-                        body += _load_lines(rinst, rdec, False)
+                        body += _load_lines(
+                            f"regs[{rinst.rd}]", f"regs[{rinst.rs1}]",
+                            rinst.imm, rdec.mem_size, False)
                         has_load = True
                         r_loads += 1
                     elif rh == H_STORE:  # always eager under a guard
@@ -899,7 +914,9 @@ class CompiledTier:
                     emit(f"    t.fetch({pc})")
                     emit("    t.commit()")
                 if h == H_LOAD:
-                    emit_lines(_load_lines(inst, d, timed))
+                    emit_lines(_load_lines(
+                        f"regs[{inst.rd}]", f"regs[{inst.rs1}]", inst.imm,
+                        d.mem_size, timed))
                     needs_read = True
                     loads += 1
                 elif h == H_STORE:
@@ -1005,5 +1022,334 @@ class CompiledTier:
 
         src = ("def _b(m, regs, memory, stats, t, lim):\n"
                + "\n".join(preamble + lines) + "\n")
-        exec(_code(src, start_pc), ns)
-        return (ns["_b"], app_total)
+        exec(_code(src, f"block@{start_pc:#x}"), ns)
+        # Popped: a function left in its own globals is a reference
+        # cycle, freed only by the cycle collector.
+        return (ns.pop("_b"), app_total)
+
+
+# -- translated DISE replacement-sequence tails ------------------------------
+#
+# A trigger's replacement sequence is built once per trigger PC (see
+# repro.dise.engine).  Its DISE-inserted tail, ``sequence[1:]``, is
+# translated too: one generated function runs it the way the table
+# loop would, one instruction after another, with the same events in
+# the same order — each instruction's ``dise_instructions`` count and
+# commit, ALU results, loads (with ``timing.load``), DISE branches
+# (with their flush), ``d_call``/``d_ccall`` (with the call transition)
+# and the end of the sequence.  The table loop calls it once the
+# trigger has committed (``_exp_index == 1``).
+#
+# Anything the tail cannot express it hands back: the function leaves
+# ``_exp_index`` at that instruction and returns, and the table loop
+# interprets the rest of the sequence from there.  Handed back are
+# stores, conventional branches and jumps, traps (a ``ctrap`` only when
+# its register is non-zero), halts, and every instruction whose
+# operands the interpreter would refuse.  A tail therefore commits no
+# application instruction and delivers no trap: run limits, stops,
+# checkpoints and timer deadlines cannot fall inside one.
+#
+# Functions are shared by *shape*: the opcodes, register operands and
+# template-literal immediates of the tail, plus the commit width (0 for
+# functional runs).  Immediates the template takes from the trigger
+# (``T.INST``, ``T.IMM``, ``T.PC``) and call targets are per-trigger
+# data, bound to the shared function with ``functools.partial``.
+
+#: Distinct tail shapes kept translated per process (the shape cache).
+TAIL_CACHE_SIZE = 256
+
+# Shape marker: this immediate or target is per-trigger data.
+_DATA = "k"
+
+
+def translate_tail(production, sequence, width: int, registers: int):
+    """``sequence[1:]`` as one host call ``tail(machine)``, or None.
+
+    ``production`` is the production ``sequence`` was instantiated
+    from (its slots say which immediates are the trigger's),
+    ``width`` the timing model's commit width (0 for a functional
+    machine) and ``registers`` the size of the DISE register file.
+    None means the table loop interprets the whole tail: there is none,
+    or its first instruction is always handed back.
+    """
+    slots = production.replacement
+    valid = _operands(registers)
+    shape = []
+    data = []
+    for index in range(1, len(sequence)):
+        shape.append(_tail_op(sequence[index], slots[index].trigger_imm,
+                              valid, data))
+    if not shape or shape[0] is None:
+        return None
+    return functools.partial(_tail_function(tuple(shape), width),
+                             tuple(data))
+
+
+@functools.lru_cache(maxsize=None)
+def _operands(registers: int) -> frozenset:
+    """The registers ``_read_reg``/``_write_reg`` accept (GPRs and the
+    DISE register file)."""
+    return frozenset(range(NUM_GPRS)) | frozenset(
+        range(DISE_REG_BASE, DISE_REG_BASE + registers))
+
+
+def _tail_op(inst, from_trigger: bool, valid: frozenset, data: list):
+    """The shape entry of one tail instruction (appending its
+    per-trigger datum to ``data``), or None to hand it back."""
+    d = inst.decoded or inst.decode()
+    h = d.handler_index
+    op = inst.opcode
+    if h in (H_ALU_LDA, H_ALU_MOV, H_ALU_IMM, H_ALU_REG, H_LOAD):
+        rd, rs1, imm = inst.rd, inst.rs1, inst.imm
+        if rd not in valid or rs1 not in valid:
+            return None
+        if h == H_ALU_MOV:
+            return (h, op, rd, rs1)
+        if h == H_ALU_REG:
+            return (h, op, rd, rs1, inst.rs2) if inst.rs2 in valid else None
+        if not isinstance(imm, int):
+            return None
+        if h == H_ALU_IMM:
+            imm &= MASK64  # as the handler passes it
+        if from_trigger:
+            data.append(imm)
+            imm = _DATA
+        return (h, op, rd, rs1, imm)
+    if h == H_NOP:
+        return (h,)
+    if h == H_CTRAP:
+        return (h, op, inst.rs1) if inst.rs1 in valid else None
+    if h == H_DISE_BRANCH:
+        skip = inst.imm
+        rs1 = None if op is Opcode.D_BR else inst.rs1
+        if not isinstance(skip, int) or skip < 0 or (
+                op is not Opcode.D_BR and rs1 not in valid):
+            return None
+        return (h, op, rs1, skip)
+    if h == H_DISE_CALL:
+        rs1 = inst.rs1 if op is Opcode.D_CCALL else None
+        if not isinstance(inst.target, int) or (
+                op is Opcode.D_CCALL and rs1 not in valid):
+            return None
+        data.append(inst.target)
+        return (h, op, rs1, _DATA)
+    return None  # stores, branches, jumps, traps, halts, ...
+
+
+@functools.lru_cache(maxsize=TAIL_CACHE_SIZE)
+def _tail_function(shape: tuple, width: int):
+    """The shared function ``_t(k, m)`` of one tail shape."""
+    src, ns = _TailWriter(shape, width).source()
+    exec(_code(src, "dise-tail"), ns)
+    return ns.pop("_t")  # popped: no function <-> globals cycle
+
+
+class _TailWriter:
+    """Generates the source of one tail shape (see ``translate_tail``).
+
+    Counts and commit slots are batched along each straight path and
+    written out before every timing event that reads them and at every
+    exit; the commit batch adds ``1.0`` per filled cycle, as the table
+    loop does, so ``timing.cycles`` stays bit-identical.
+    """
+
+    def __init__(self, shape: tuple, width: int):
+        self.shape = shape
+        self.width = width
+        self.ns = {"M": MASK64, "SB": SIGN_BIT}
+        self.lines: list[str] = []
+        self.uses: set[str] = set()
+        # Index of each entry's per-trigger datum in ``k``.
+        self.datum = {}
+        for index, entry in enumerate(shape, start=1):
+            if entry is not None and _DATA in entry:
+                self.datum[index] = len(self.datum)
+
+    def source(self) -> tuple[str, dict]:
+        n = len(self.shape) + 1
+        if self.region(1, n, "    "):
+            self.leave("    ", n, "m._expansion = None",
+                       f"m.pc = m._trigger_pc + {INSTRUCTION_BYTES}")
+        head = ["def _t(k, m):"]
+        if self.datum:
+            names = ", ".join(f"k{i}" for i in range(len(self.datum)))
+            head.append(f"    {names}, = k")
+        head.append("    stats = m.stats")
+        if self.width:
+            head.append("    t = m.timing")
+        if "regs" in self.uses:
+            head.append("    regs = m.regs")
+        if "dr" in self.uses:
+            head.append("    dr = m.dise_regs._values")
+        if "load" in self.uses:
+            head += ["    memory = m.memory", "    pg = memory._pages.get",
+                     "    read_int = memory.read_int"]
+            self.ns["fb"] = int.from_bytes
+        return "\n".join(head + self.lines) + "\n", self.ns
+
+    # -- operands ----------------------------------------------------------
+
+    def reg(self, reg: int) -> str:
+        """The expression reading register ``reg`` (as ``_read_reg``)."""
+        if reg == ZERO_REG:
+            return "0"
+        if reg < DISE_REG_BASE:
+            self.uses.add("regs")
+            return f"regs[{reg}]"
+        self.uses.add("dr")
+        return f"dr[{reg - DISE_REG_BASE}]"
+
+    def imm(self, index: int, value) -> str:
+        return f"k{self.datum[index]}" if value == _DATA else str(value)
+
+    # -- pending counts and exits ------------------------------------------
+
+    def commits(self, pad: str, pending: list) -> None:
+        """Write out the batched commits (``TimingModel.commit``)."""
+        count, pending[0] = pending[0], 0
+        width = self.width
+        if not (count and width):
+            return
+        emit = self.lines.append
+        emit(f"{pad}_s = t._slots + {count}")
+        emit(f"{pad}{'while' if count > width else 'if'} _s >= {width}:")
+        emit(f"{pad}    _s -= {width}")
+        emit(f"{pad}    t.cycles += 1.0")
+        emit(f"{pad}    t._loads_this_cycle = 0")
+        emit(f"{pad}    t._stores_this_cycle = 0")
+        emit(f"{pad}t._slots = _s")
+
+    def counts(self, pad: str, pending: list) -> None:
+        """Write out every pending commit and statistic."""
+        self.commits(pad, pending)
+        for slot, stat in ((1, "dise_instructions"), (2, "nops_elided"),
+                           (3, "loads")):
+            if pending[slot]:
+                self.lines.append(f"{pad}stats.{stat} += {pending[slot]}")
+                pending[slot] = 0
+
+    def leave(self, pad: str, index: int, *effects: str,
+              pending: list | None = None) -> None:
+        """Exit the tail with ``_exp_index`` at ``index``."""
+        if pending is not None:
+            self.counts(pad, list(pending))
+        self.lines += [f"{pad}m._exp_index = {index}",
+                       *(pad + line for line in effects), f"{pad}return"]
+
+    # -- instructions ------------------------------------------------------
+
+    def region(self, lo: int, hi: int, pad: str) -> bool:
+        """Emit sequence indices ``[lo, hi)``; True if control falls
+        through to ``hi``.
+
+        A DISE branch skipping forward within the region becomes an
+        ``if``/``else`` around the skipped instructions; one that skips
+        past ``hi`` is handed back.
+        """
+        emit = self.lines.append
+        # Pending commits, dise_instructions, nops_elided, loads.
+        pending = [0, 0, 0, 0]
+        index = lo
+        while index < hi:
+            entry = self.shape[index - 1]
+            if entry is None:
+                self.leave(pad, index, pending=pending)
+                return False
+            h = entry[0]
+            if h == H_NOP:
+                pending[2] += 1
+                index += 1
+                continue
+            if h == H_CTRAP:
+                value = self.reg(entry[2])
+                emit(f"{pad}if {value} != 0:")
+                self.leave(pad + "    ", index, pending=pending)
+            elif h == H_DISE_BRANCH:
+                _, op, rs1, skip = entry
+                target = index + 1 + skip
+                if target > hi:
+                    self.leave(pad, index, pending=pending)
+                    return False
+                pending[0] += 1
+                pending[1] += 1
+                self.counts(pad, pending)
+                taken = ["stats.dise_branch_flushes += 1"]
+                if self.width:
+                    taken.append("t.dise_branch_taken()")
+                if op is Opcode.D_BR:
+                    self.lines += [pad + line for line in taken]
+                else:
+                    value = self.reg(rs1)
+                    test = "==" if op is Opcode.D_BEQ else "!="
+                    emit(f"{pad}if {value} {test} 0:")
+                    self.lines += [pad + "    " + line for line in taken]
+                    if target > index + 1:
+                        emit(f"{pad}else:")
+                        self.region(index + 1, target, pad + "    ")
+                index = target
+                continue
+            elif h == H_DISE_CALL:
+                _, op, rs1, _ = entry
+                pending[0] += 1
+                pending[1] += 1
+                self.counts(pad, pending)
+                inner = pad
+                if op is Opcode.D_CCALL:
+                    emit(f"{pad}if {self.reg(rs1)} != 0:")
+                    inner = pad + "    "
+                effects = ["m._dise_return = (m._trigger_pc, m._expansion, "
+                           f"{index + 1})",
+                           "m._in_dise_function = True",
+                           "m._expansion = None"]
+                if self.width:
+                    effects.append("if not t.dise_call():")
+                    effects.append("    stats.dise_call_flushes += 1")
+                effects.append(f"m.pc = k{self.datum[index]}")
+                self.leave(inner, index, *effects)
+                if op is not Opcode.D_CCALL:
+                    return False
+                index += 1
+                continue
+            elif h in (H_ALU_LDA, H_LOAD):
+                _, op, rd, rs1, disp = entry
+                dest = None if rd == ZERO_REG else self.reg(rd)
+                base, disp = self.reg(rs1), self.imm(index, disp)
+                if h == H_LOAD:
+                    pending[0] += 1
+                    self.commits(pad, pending)
+                    pending[3] += 1
+                    self.uses.add("load")
+                    size = opcode_info(op).mem_size
+                    self.lines += [pad + line for line in _load_lines(
+                        dest or "_", base, disp, size, bool(self.width))]
+                elif dest is not None:
+                    emit(f"{pad}{dest} = ({base} + {disp}) & M")
+            else:  # H_ALU_MOV, H_ALU_IMM, H_ALU_REG
+                rd, a = entry[2], self.reg(entry[3])
+                if h == H_ALU_MOV:
+                    expr = a
+                elif h == H_ALU_IMM:
+                    bval = entry[4]
+                    if bval == _DATA:
+                        b, bval = self.imm(index, bval), None
+                    else:
+                        b = str(bval)
+                    expr = self._alu(entry[1], a, b, bval)
+                else:
+                    expr = self._alu(entry[1], a, self.reg(entry[4]), None)
+                if rd != ZERO_REG:
+                    emit(f"{pad}{self.reg(rd)} = {expr}")
+            if h != H_LOAD:
+                pending[0] += 1
+            pending[1] += 1
+            index += 1
+        self.counts(pad, pending)
+        return True
+
+    def _alu(self, op: Opcode, a: str, b: str, bval) -> str:
+        expr = _alu_expr(op, a, b, bval)
+        if expr is None:
+            fn = f"_f{len(self.ns)}"
+            self.ns[fn] = ALU_FUNCS[op]
+            expr = f"{fn}({a}, {b})"
+        return expr

@@ -43,6 +43,7 @@ debugger, and are not re-fired for the same fetch on resume.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import weakref
 from dataclasses import dataclass
@@ -52,6 +53,7 @@ from typing import Callable, Optional
 from repro.config import DEFAULT_CONFIG, INTERPRETERS, MachineConfig
 from repro.errors import SimulationError
 from repro.cpu import process
+from repro.cpu.compiled import translate_tail
 from repro.cpu.functional import MASK64, alu_result, branch_taken
 from repro.cpu.stats import NONE, USER, SimStats, TransitionKind
 from repro.cpu.timing import _LINE_SHIFT, TimingModel
@@ -191,15 +193,26 @@ class Machine:
         detailed_timing: bool = True,
     ):
         self.config = config or DEFAULT_CONFIG
+        interp = self.config.interpreter
+        if interp not in INTERPRETERS:
+            raise ValueError(f"unknown interpreter {interp!r}; expected "
+                             f"one of {', '.join(INTERPRETERS)}")
         # The per-process half of the machine (see repro.cpu.process).
         process.boot(self, program, self.config.page_bytes)
-        self.dise_engine = DiseEngine()
+        self.timing: Optional[TimingModel] = (
+            TimingModel(self.config) if detailed_timing else None)
+        registers = self.config.dise.num_dise_registers
+        # The table loop (which the compiled tier steps expansions on)
+        # runs translated sequence tails; the legacy tier stays the
+        # untranslated reference.
+        translate = None if interp == "legacy" else functools.partial(
+            translate_tail, registers=registers,
+            width=self.timing._width if self.timing is not None else 0)
+        self.dise_engine = DiseEngine(translate)
         self.dise_controller = DiseController(self.dise_engine,
                                               self.config.dise,
                                               process_name=program.name)
-        self.dise_regs = DiseRegisterFile(self.config.dise.num_dise_registers)
-        self.timing: Optional[TimingModel] = (
-            TimingModel(self.config) if detailed_timing else None)
+        self.dise_regs = DiseRegisterFile(registers)
         self.stats = SimStats()
         self.trap_handler = trap_handler
 
@@ -237,10 +250,6 @@ class Machine:
         self.current_process = program.name
         self._kernel = None
 
-        interp = self.config.interpreter
-        if interp not in INTERPRETERS:
-            raise ValueError(f"unknown interpreter {interp!r}; expected "
-                             f"one of {', '.join(INTERPRETERS)}")
         self._interp = interp
 
         # Periodic auto-checkpointing (see repro.replay): disabled until
@@ -646,6 +655,7 @@ class Machine:
         eng_by_opclass = engine._by_opclass
         eng_by_codeword = engine._by_codeword
         eng_generic = engine._generic
+        memo = engine._memo
         handlers = self._HANDLERS
         instrumentation_pcs = self.instrumentation_pcs
         nop_class = OpClass.NOP
@@ -660,6 +670,21 @@ class Machine:
 
             expansion = self._expansion
             if expansion is not None:
+                if self._exp_index == 1:
+                    # The trigger has committed: run the sequence's
+                    # translated tail, which commits on the main thread
+                    # (see DESIGN.md §7, "Translated tails").  It
+                    # returns with the sequence finished, left for a
+                    # DISE call, or handed back at an instruction that
+                    # is interpreted right here.
+                    entry = memo.get(self._trigger_pc)
+                    if (entry is not None and entry[1] is expansion
+                            and entry[2] is not None
+                            and (timing is None or not timing.offthread)):
+                        entry[2](self)
+                        expansion = self._expansion
+                        if expansion is None:
+                            continue
                 inst = expansion[self._exp_index]
                 d = inst.decoded
                 if d is None:

@@ -60,8 +60,15 @@ class Session:
 
     def break_at(self, location: Union[str, int],
                  condition: Optional[str] = None) -> Breakpoint:
-        """Set a breakpoint at a label or absolute PC."""
+        """Set a breakpoint at a label or absolute PC.
+
+        The location must name an instruction of the session's program:
+        an unknown label, a misaligned PC or a PC outside the text
+        raises :class:`~repro.errors.AssemblyError` on every backend,
+        and nothing is recorded.
+        """
         bp = Breakpoint.parse(location, condition, number=self._next_number)
+        self.program.index_of_pc(bp.resolve_pc(self.program))
         self._next_number += 1
         self.breakpoints.append(bp)
         return bp

@@ -25,10 +25,14 @@ couple of dict probes.
 Expansion is a translation: for a fixed resident set the sequence
 depends only on the trigger instruction and its PC, so the engine
 builds it once per trigger PC and keeps it, as an immutable tuple (or
-the no-match answer), with the trigger it was built from.  An entry
-answers only while the instruction fetched at its PC is that same
-object.  The memo belongs to the resident set: :meth:`load` empties it
-when the set changes, and :meth:`flush` empties it on each text change.
+the no-match answer), with the trigger it was built from and, when the
+engine was given a ``translate`` function, the host code of the
+sequence's DISE-inserted tail (see
+:func:`repro.cpu.compiled.translate_tail`).  An entry answers only
+while the instruction fetched at its PC is that same object.  The memo
+belongs to the resident set: :meth:`load` empties it when the set
+changes, and :meth:`flush` empties it on each text change, dropping
+sequences and tails together.
 
 The engine itself knows nothing about DISEPC control flow — branch,
 call, and return semantics of replacement sequences are interpreted by
@@ -38,19 +42,27 @@ emits instructions while the pipeline executes them.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OpClass
 from repro.dise.production import Production
 
 Expansion = tuple[Instruction, ...]
+#: Runs a sequence's tail on the machine it is given (see expand()).
+Tail = Callable[[object], None]
 
 
 class DiseEngine:
-    """Pattern matching + parameterized replacement."""
+    """Pattern matching + parameterized replacement.
 
-    def __init__(self):
+    ``translate(production, sequence)`` returns the translated tail of
+    a freshly built sequence, or None; without it no tail is built.
+    """
+
+    def __init__(self, translate: Optional[
+            Callable[[Production, Expansion], Optional[Tail]]] = None):
+        self._translate = translate
         # The resident productions and their buckets.  load() refills
         # these in place: the interpreter loops bind them once per run.
         self._productions: list[Production] = []
@@ -59,8 +71,10 @@ class DiseEngine:
         self._by_opclass: dict[OpClass, list[Production]] = {}
         self._generic: list[Production] = []
         self._resident: tuple[Production, ...] = ()
-        # Trigger PC -> (trigger, sequence or None); see expand().
-        self._memo: dict[int, tuple[Instruction, Optional[Expansion]]] = {}
+        # Trigger PC -> (trigger, sequence or None, tail or None); see
+        # expand().
+        self._memo: dict[int, tuple[Instruction, Optional[Expansion],
+                                    Optional[Tail]]] = {}
 
     @property
     def productions(self) -> tuple[Production, ...]:
@@ -105,18 +119,25 @@ class DiseEngine:
         Chooses the most specific matching pattern; ties break toward the
         earliest-installed production (deterministic, like table order in
         the hardware).  The answer for a trigger PC is built once and
-        reused while the instruction at that PC is the same object.
+        reused while the instruction at that PC is the same object; the
+        memo entry also holds the sequence's translated tail, which the
+        machine runs once the trigger has committed.
         """
         memo = self._memo
         entry = memo.get(pc)
         if entry is None or entry[0] is not inst:
-            entry = memo[pc] = (inst, self._build(inst, pc))
+            entry = memo[pc] = self._build(inst, pc)
         return entry[1]
 
-    def _build(self, inst: Instruction, pc: int) -> Optional[Expansion]:
+    def _build(self, inst: Instruction, pc: int):
         best, best_score = None, -1
         for production in self._resident:  # install order: ties keep the first
             score = production.pattern.specificity
             if score > best_score and production.pattern.matches(inst, pc):
                 best, best_score = production, score
-        return None if best is None else tuple(best.expand(inst, pc))
+        if best is None:
+            return (inst, None, None)
+        sequence = tuple(best.expand(inst, pc))
+        translate = self._translate
+        return (inst, sequence,
+                None if translate is None else translate(best, sequence))

@@ -139,6 +139,12 @@ class TemplateInstruction:
             self._cached = inst
         return inst
 
+    @property
+    def trigger_imm(self) -> bool:
+        """Does the instantiated immediate come from the trigger
+        (``T.INST``, ``T.IMM``, ``T.PC``) rather than the template?"""
+        return self.whole or isinstance(self.imm, _Directive)
+
     def describe(self) -> str:
         """Render the slot in the paper's directive notation."""
         if self.whole:

@@ -14,7 +14,8 @@ import weakref
 import pytest
 
 from repro.config import DEFAULT_CONFIG
-from repro.cpu.compiled import _FALLBACK, CompiledTier
+from repro.cpu.compiled import (_FALLBACK, TAIL_CACHE_SIZE, CompiledTier,
+                                 _tail_function)
 from repro.cpu.machine import Machine
 from repro.cpu.stats import TransitionKind
 from repro.debugger.backends import backend_class
@@ -189,6 +190,44 @@ def test_dropped_compiled_machine_is_freed_by_reference_counting():
         refs = [weakref.ref(machine), weakref.ref(machine._compiled)]
         del machine
         assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_dropped_machine_frees_its_generated_code_at_once():
+    """Block functions are popped from their namespaces and sequence
+    tails are partials of shared shape functions, so with gc disabled
+    both die with their machine; the shared shape functions stay, in a
+    cache within its bound."""
+    gc.disable()
+    try:
+        machine = Machine(assemble(LOOP), COMPILED)
+        machine.run()
+        blocks = [entry[0] for entry in machine._compiled.blocks.values()
+                  if entry is not _FALLBACK]
+        assert blocks
+        refs = [weakref.ref(block) for block in blocks]
+        del blocks, machine
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+        backend = backend_class("dise")(build_benchmark("bzip2"),
+                                        [Watchpoint.parse("hot")], [],
+                                        COMPILED)
+        backend.machine.run(max_app_instructions=20_000)
+        tails = [entry[2] for entry in
+                 backend.machine.dise_engine._memo.values()
+                 if entry[2] is not None]
+        assert tails and backend.machine._compiled.blocks
+        refs = [weakref.ref(tail) for tail in tails]
+        refs += [weakref.ref(entry[0]) for entry in
+                 backend.machine._compiled.blocks.values()
+                 if entry is not _FALLBACK]
+        shapes = {tail.func for tail in tails}
+        del tails, backend
+        assert [ref() for ref in refs] == [None] * len(refs)
+        info = _tail_function.cache_info()
+        assert len(shapes) <= info.currsize <= TAIL_CACHE_SIZE
+        assert info.maxsize == TAIL_CACHE_SIZE
     finally:
         gc.enable()
 

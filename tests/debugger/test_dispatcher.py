@@ -149,15 +149,32 @@ def test_run_with_a_bad_count_keeps_the_active_run():
 
 
 def test_dise_breakpoint_outside_text_is_refused():
-    # Past the end of text it used to index past the instruction list,
-    # an internal error on the wire.
+    # Past the end of text DISE used to index past the instruction list,
+    # an internal error on the wire, while the other backends accepted
+    # the breakpoint and never stopped.  Every backend now refuses it at
+    # `break`, records nothing, and keeps the active run.
     program = make_watch_loop(30)
-    for pc in (program.pc_of_index(len(program.instructions)), 0xff8):
-        dispatcher = CommandDispatcher(program, backend="dise")
-        dispatcher.dispatch("break", [hex(pc)])
-        with pytest.raises(CommandError, match="not an instruction") as info:
-            dispatcher.dispatch("run", [])
-        assert info.value.code == "command-failed"
+    locations = (hex(program.pc_of_index(len(program.instructions))),
+                 "0xff8", hex(program.pc_of_label("loop") + 2))
+    for backend in ("single_step", "virtual_memory", "hardware",
+                    "binary_rewrite", "dise"):
+        for location in locations:
+            dispatcher = CommandDispatcher(program, backend=backend)
+            dispatcher.dispatch("run", ["100"])
+            active = dispatcher._backend_obj
+            with pytest.raises(CommandError,
+                               match="not an instruction") as info:
+                dispatcher.dispatch("break", [location])
+            assert info.value.code == "command-failed", backend
+            assert dispatcher.session.breakpoints == []
+            assert dispatcher._backend_obj is active
+            assert dispatcher.dispatch("continue", ["100"]).data
+            assert dispatcher._backend_obj is active
+        dispatcher = CommandDispatcher(program, backend=backend)
+        with pytest.raises(CommandError, match="unknown label") as info:
+            dispatcher.dispatch("break", ["nowhere"])
+        assert info.value.code == "command-failed", backend
+        assert dispatcher.dispatch("break", ["loop"]).data["number"] == 1
 
 
 def test_x_on_unmapped_pages_allocates_nothing():

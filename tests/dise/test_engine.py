@@ -147,7 +147,7 @@ def test_memo_builds_each_trigger_once(sequence_builds):
     # The no-match answer is remembered too.
     nop = Instruction(Opcode.NOP)
     assert engine.expand(nop, 0x1004) is None
-    assert engine._memo[0x1004] == (nop, None)
+    assert engine._memo[0x1004] == (nop, None, None)
 
 
 def test_memo_answers_only_for_the_same_instruction(sequence_builds):

@@ -240,3 +240,201 @@ def test_recorded_seed_expectations(backend):
               stats.transitions[TransitionKind.USER],
               stats.spurious_transitions, stats.cycles)
     assert actual == expected, backend
+
+
+# -- translated sequence tails vs the legacy interpreter --------------------
+#
+# The table loop runs each replacement sequence's DISE-inserted tail as
+# translated host code (repro.cpu.compiled.translate_tail); the legacy
+# tier interprets every instruction.  Every sequence organization the
+# DISE backend builds must come out identical on both, timed and
+# functional: full SimStats, the exact float cycle count (stall charges
+# are fractional), registers, the DISE register file and the state
+# fingerprint.
+
+#: (backend options, watched variables, MachineConfig fields).
+ORGANIZATIONS = {
+    "match-address": ({"check": "match-address"}, ("v0",), {}),
+    "match-address-branch": ({"check": "match-address",
+                              "conditional_isa": False}, ("v0",), {}),
+    "evaluate-expression": ({"check": "evaluate-expression"}, ("v0",), {}),
+    "evaluate-expression-branch": ({"check": "evaluate-expression",
+                                    "conditional_isa": False}, ("v0",), {}),
+    "match-address-value": ({"check": "match-address-value"}, ("v0",), {}),
+    "match-address-value-branch": ({"check": "match-address-value",
+                                    "conditional_isa": False}, ("v0",), {}),
+    "serial": ({"multi_strategy": "serial"}, ("v0", "v1", "v2"), {}),
+    "bloom-byte": ({"multi_strategy": "bloom-byte"}, ("v0", "v1", "v2"), {}),
+    "bloom-bit": ({"multi_strategy": "bloom-bit"}, ("v0", "v1", "v2"), {}),
+    "protect": ({"protect": True}, ("v0",), {}),
+    "prune-stack-stores": ({"prune_stack_stores": True}, ("v0",), {}),
+    "multithreaded": ({}, ("v0", "v1"), {"multithreaded_dise_calls": True}),
+}
+RUN_LIMIT = 50_000
+
+
+def _dise_backend(seed, organization, interpreter, timed):
+    options, watches, config = ORGANIZATIONS[organization]
+    session = Session(generate_program(seed).build(), backend="dise",
+                      config=MachineConfig(interpreter=interpreter, **config),
+                      detailed_timing=timed, **options)
+    for name in watches:
+        session.watch(name)
+    return session.build_backend()
+
+
+def _outcome(machine):
+    timing = machine.timing
+    return (machine.stats, timing.cycles.hex() if timing else None,
+            list(machine.regs), machine.dise_regs.snapshot(),
+            machine.state_fingerprint())
+
+
+def _step_to_end(machine, on_step=None):
+    """Run one application instruction per call: every trigger leaves
+    its sequence at index 1 between calls."""
+    while (not machine.halted
+           and machine.stats.app_instructions < RUN_LIMIT):
+        machine.run(max_app_instructions=machine.stats.app_instructions + 1)
+        if on_step is not None:
+            on_step(machine)
+
+
+@pytest.mark.parametrize("timed", (True, False), ids=("timed", "functional"))
+@pytest.mark.parametrize("organization", ORGANIZATIONS)
+@pytest.mark.parametrize("seed", SEEDS[:5])
+def test_translated_tails_match_legacy_interpreter(seed, organization,
+                                                   timed):
+    outcomes = {}
+    for interpreter in ("legacy", "table"):
+        backend = _dise_backend(seed, organization, interpreter, timed)
+        backend.machine.run(max_app_instructions=RUN_LIMIT)
+        outcomes[interpreter] = _outcome(backend.machine)
+    assert outcomes["table"] == outcomes["legacy"], (seed, organization)
+    assert outcomes["table"][0].dise_expansions > 0
+
+    # Sliced one application instruction at a time, and restored from
+    # a snapshot taken with a sequence active at index 1: both finish
+    # as the unsliced run does.
+    backend = _dise_backend(seed, organization, "table", timed)
+    mid_sequence = []
+
+    def snapshot_mid_sequence(machine):
+        if (not mid_sequence and machine._expansion is not None
+                and machine._exp_index == 1):
+            mid_sequence.append(backend.snapshot())
+
+    _step_to_end(backend.machine, snapshot_mid_sequence)
+    assert _outcome(backend.machine) == outcomes["legacy"], "stepped"
+    assert mid_sequence, "no run limit landed inside a sequence"
+    backend.restore(mid_sequence[0])
+    backend.machine.run(max_app_instructions=RUN_LIMIT)
+    assert _outcome(backend.machine) == outcomes["legacy"], "restored"
+
+
+def test_translated_tails_are_taken():
+    """On bzip2 watching ``hot``, no DISE-inserted ALU, load or
+    ``d_ccall`` instruction reaches its dispatch-table handler: the
+    translation runs every one of them."""
+    from repro.isa.instruction import (H_ALU_IMM, H_ALU_LDA, H_ALU_MOV,
+                                       H_ALU_REG, H_DISE_CALL, H_LOAD)
+    from repro.workloads.benchmarks import build_benchmark
+
+    session = Session(build_benchmark("bzip2"), backend="dise")
+    session.watch("hot")
+    backend = session.build_backend()
+    machine = backend.machine
+    interpreted = []
+
+    def counting(handler):
+        def run(m, inst, d, is_dise):
+            if m._expansion is not None and m._exp_index > 0:
+                interpreted.append(inst)
+            return handler(m, inst, d, is_dise)
+        return run
+
+    handlers = list(Machine._HANDLERS)
+    for index in (H_ALU_LDA, H_ALU_MOV, H_ALU_IMM, H_ALU_REG, H_LOAD,
+                  H_DISE_CALL):
+        handlers[index] = counting(handlers[index])
+    machine._HANDLERS = tuple(handlers)  # this machine's loop only
+    machine.run(max_app_instructions=30_000)
+    assert machine.stats.dise_instructions > 0
+    assert machine.stats.function_instructions > 0  # d_ccall calls ran
+    assert interpreted == []
+
+
+def test_every_translated_construct_matches_legacy_interpreter():
+    """One store production using each construct a tail translates —
+    trigger and template immediates, the zero register, an ALU op with
+    no inline form (sra), a nop, loads, nested and overlapping DISE
+    skips, a skip to the end, a ctrap that fires, a d_ccall whose
+    function uses d_mfr/d_mtr — agrees with the legacy tier."""
+    from repro.dise.pattern import Pattern
+    from repro.dise.production import Production
+    from repro.dise.template import T, original, template
+    from repro.isa import assemble
+    from repro.isa.opcodes import Opcode
+    from repro.isa.registers import ZERO_REG, dise_reg
+
+    source = """
+    .data
+    hot:  .quad 3
+    cold: .quad 0
+    .text
+    main:
+        lda r1, hot
+        lda r2, cold
+    loop:
+        addq r6, 1, r6
+        stq r6, 0(r2)
+        and r6, 7, r7
+        stq r7, 0(r1)
+        cmpeq r6, 300, r8
+        beq r8, loop
+        halt
+    handler:
+        d_mfr r20, 4
+        addq r20, 1, r20
+        d_mtr r20, 4
+        d_ret
+    """
+    dr = dise_reg
+    sequence = [
+        original(),
+        template(Opcode.ADDQ, rd=dr(1), rs1=T.RS1, imm=T.IMM),    # 1
+        template(Opcode.SRA, rd=dr(2), rs1=dr(1), imm=3),         # 2
+        template(Opcode.NOP),                                     # 3
+        template(Opcode.LDQ, rd=ZERO_REG, rs1=T.RS1, imm=T.IMM),  # 4
+        template(Opcode.LDQ, rd=dr(3), rs1=T.RS1, imm=T.IMM),     # 5
+        template(Opcode.AND, rd=dr(3), rs1=dr(3), imm=1),         # 6
+        template(Opcode.AND, rd=dr(5), rs1=T.RD, imm=2),          # 7
+        template(Opcode.D_BEQ, rs1=dr(3), imm=3),                 # 8
+        template(Opcode.D_BNE, rs1=dr(5), imm=1),                 # 9
+        template(Opcode.XOR, rd=dr(4), rs1=dr(4), imm=1),         # 10
+        template(Opcode.ADDQ, rd=dr(4), rs1=dr(4), imm=5),        # 11
+        template(Opcode.D_BEQ, rs1=dr(5), imm=1),                 # 12
+        template(Opcode.D_BNE, rs1=dr(3), imm=2),                 # 13
+        template(Opcode.CMPLT, rd=dr(6), rs1=dr(3), rs2=T.RD),    # 14
+        template(Opcode.CTRAP, rs1=dr(6)),                        # 15
+        template(Opcode.D_CCALL, rs1=dr(5), target="handler"),    # 16
+        template(Opcode.MOV, rd=dr(7), rs1=dr(4)),                # 17
+        template(Opcode.D_BR, imm=1),                             # 18
+        template(Opcode.XOR, rd=dr(4), rs1=dr(4), imm=2),         # 19
+    ]
+    outcomes = []
+    for interpreter, timed in (("legacy", True), ("table", True),
+                               ("legacy", False), ("table", False)):
+        program = assemble(source)
+        sequence[16] = template(Opcode.D_CCALL, rs1=dr(5),
+                                target=program.pc_of_label("handler"))
+        machine = Machine(program, MachineConfig(interpreter=interpreter),
+                          trap_handler=lambda event: TransitionKind.NONE,
+                          detailed_timing=timed)
+        machine.dise_controller.install(
+            Production(Pattern.stores(), sequence, name="every"))
+        machine.run()
+        assert machine.halted and machine.stats.traps > 0
+        outcomes.append(_outcome(machine))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[2] == outcomes[3]
